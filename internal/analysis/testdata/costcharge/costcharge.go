@@ -28,10 +28,17 @@ func pricedHelper(a *cost.Acct, m *cost.Model) { a.AddCPU(m.ReadTuple) }
 
 // delegatedSend passes its account to a priced helper; pairing is satisfied
 // by delegation.
-func delegatedSend(a *cost.Acct, m *cost.Model, snd *netsim.Sender, t tuple.Tuple) {
+func delegatedSend(a *cost.Acct, m *cost.Model, snd *netsim.Sender) {
 	pricedHelper(a, m)
-	j := tuple.Joined{Inner: t, Outer: t}
-	snd.SendJoined(0, 0, &j)
+	snd.SendResult(0, 0)
+}
+
+// unpricedResult routes join results to the store without charging the
+// per-result work (the emitter's Result charge).
+func unpricedResult(snd *netsim.Sender, matches int) {
+	for i := 0; i < matches; i++ {
+		snd.SendResult(0, -2) // want `netsim send without a cost.Model charge`
+	}
 }
 
 // directDeliver bypasses the sender entirely.
@@ -51,7 +58,7 @@ func rawChanSendRun(ch chan []*netsim.Batch, run []*netsim.Batch) {
 }
 
 // handBatch fabricates a packet without paying tuple copy costs.
-func handBatch(ts []tuple.Tuple) *netsim.Batch {
+func handBatch(ts []*tuple.Tuple) *netsim.Batch {
 	return &netsim.Batch{Src: 0, Dst: 1, Batch: tuple.Batch{Tuples: ts}} // want `netsim.Batch built by hand`
 }
 

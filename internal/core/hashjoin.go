@@ -125,12 +125,13 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 			if chunkCap < 1 {
 				chunkCap = 1
 			}
-			// One match callback for the whole chunk loop; outer is rebound
-			// per probed tuple so the closure is allocated once, not per
-			// tuple.
-			var outer *tuple.Tuple
+			// One match callback for the whole chunk loop, and one
+			// one-element probe run reused for every scanned outer tuple,
+			// so nothing is allocated per tuple.
 			var tbl *gamma.HashTable
-			onMatch := func(match *tuple.Tuple) { em.emit(a, match, outer) }
+			onMatch := func(outer, match *tuple.Tuple) { em.emit(a, match, outer) }
+			outer := make([]*tuple.Tuple, 1)
+			hash := make([]uint64, 1)
 			cur := rfile.NewCursor(a)
 			for {
 				tbl = gamma.NewHashTable(rc.m, int64(chunkCap+1)*tuple.Bytes, rc.spec.RAttr)
@@ -141,7 +142,7 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 						break
 					}
 					a.AddCPU(rc.m.Hash)
-					tbl.Insert(a, &t, split.Hash(t.Int(rc.spec.RAttr), 0))
+					tbl.Insert(a, t, split.Hash(t.Int(rc.spec.RAttr), 0))
 					n++
 				}
 				if n == 0 {
@@ -150,13 +151,12 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 				}
 				sfile.Scan(a, func(t *tuple.Tuple) bool {
 					a.AddCPU(rc.m.Hash)
-					h := split.Hash(t.Int(rc.spec.SAttr), 0)
-					outer = t
-					tbl.Probe(a, h, t.Int(rc.spec.SAttr), onMatch)
+					outer[0], hash[0] = t, split.Hash(t.Int(rc.spec.SAttr), 0)
+					tbl.ProbeBatch(a, outer, hash, rc.spec.SAttr, onMatch)
 					return true
 				})
-				// The chunk's probes are done and em.emit copied every match
-				// out, so the chunk table can be recycled.
+				// The chunk's probes are done and em.emit keeps no reference
+				// to a match, so the chunk table can be recycled.
 				tbl.Release()
 				if n < chunkCap {
 					return
@@ -249,10 +249,10 @@ func (rc *runCtx) joinLevel(name string, bucket int, rsrc, ssrc []fileAt, seed u
 					}
 					if gamma.AboveCutoff(tbl.Cutoff(), h) {
 						rc.mROver.Add(1)
-						snd.Send(home, tagROverBase+j, &b.Tuples[i], h)
+						snd.Send(home, tagROverBase+j, b.Tuples[i], h)
 						continue
 					}
-					evs := tbl.Insert(a, &b.Tuples[i], h)
+					evs := tbl.Insert(a, b.Tuples[i], h)
 					for k := range evs {
 						rc.mROver.Add(1)
 						snd.Send(home, tagROverBase+j, &evs[k], 0)

@@ -160,10 +160,10 @@ func (rc *runCtx) hybridPartition(nb int, seed uint64,
 					}
 					if gamma.AboveCutoff(tbl.Cutoff(), h) {
 						rc.mROver.Add(1)
-						snd.Send(home, tagROverBase+j, &b.Tuples[i], h)
+						snd.Send(home, tagROverBase+j, b.Tuples[i], h)
 						continue
 					}
-					evs := tbl.Insert(a, &b.Tuples[i], h)
+					evs := tbl.Insert(a, b.Tuples[i], h)
 					for k := range evs {
 						rc.mROver.Add(1)
 						snd.Send(home, tagROverBase+j, &evs[k], 0)

@@ -325,7 +325,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 					}
 					p := rc.dynPart(h, np)
 					if spilled[p] {
-						snd.Send(rc.dynHome(p, np), tagDynRBase+p, &b.Tuples[i], h)
+						snd.Send(rc.dynHome(p, np), tagDynRBase+p, b.Tuples[i], h)
 						continue
 					}
 					tbl := st.tables[p]
@@ -337,10 +337,10 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 						}
 						a.AddCPU(rc.m.SpillDecide)
 						rc.dynSpill(a, snd, st, p, np, spilled)
-						snd.Send(rc.dynHome(p, np), tagDynRBase+p, &b.Tuples[i], h)
+						snd.Send(rc.dynHome(p, np), tagDynRBase+p, b.Tuples[i], h)
 						continue
 					}
-					tbl.Insert(a, &b.Tuples[i], h)
+					tbl.Insert(a, b.Tuples[i], h)
 				}
 				// One batch = one adaptation epoch: roll the swing injector,
 				// then enforce the budget largest-partition-first.
@@ -457,20 +457,16 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 			st := states[j]
 			em := rc.newEmitter(j, snd)
 			defer em.close()
-			// One match callback for the whole drain; outer is rebound per
-			// probed tuple (partitioned tables rule out ProbeBatch here —
-			// each tuple may hit a different table).
-			var outer *tuple.Tuple
-			onMatch := func(match *tuple.Tuple) { em.emit(a, match, outer) }
+			// Each tuple may hit a different partition's table, so every
+			// outer tuple probes as a one-element run of its batch.
+			onMatch := func(outer, match *tuple.Tuple) { em.emit(a, match, outer) }
 			for _, b := range batches {
 				if b.Tag != tagProbe {
 					continue
 				}
-				for i := range b.Tuples {
-					outer = &b.Tuples[i]
-					h := b.Hashes[i]
+				for i, h := range b.Hashes {
 					tbl := st.tables[rc.dynPart(h, np)]
-					tbl.Probe(a, h, outer.Int(rc.spec.SAttr), onMatch)
+					tbl.ProbeBatch(a, b.Tuples[i:i+1], b.Hashes[i:i+1], rc.spec.SAttr, onMatch)
 				}
 			}
 			for _, p := range st.parts {
@@ -619,7 +615,7 @@ func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
 				for i := range b.Tuples {
 					h := b.Hashes[i]
 					p := rc.dynPart(h, np)
-					st.tables[p].Insert(a, &b.Tuples[i], h)
+					st.tables[p].Insert(a, b.Tuples[i], h)
 					counts[p]++
 				}
 			}

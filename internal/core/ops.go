@@ -128,24 +128,34 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 		site := site
 		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
 			rr := site
+			// Projections are computed tuples, so they are materialized in
+			// a slice this worker owns before being sent by reference. It is
+			// sized to the fragment, so appends never move a tuple a packet
+			// already references. Unprojected rows are sent straight from
+			// the fragment's pages.
+			var proj []tuple.Tuple
+			if s.Project != nil {
+				proj = make([]tuple.Tuple, 0, f.Len())
+			}
 			f.Scan(a, func(t *tuple.Tuple) bool {
 				if !rc.scanPred(a, p, t) {
 					return true
 				}
-				out := *t
+				out := t
 				if s.Project != nil {
 					a.AddCPU(cost.ScaleNs(len(s.Project), rc.m.WriteTuple).Div(tuple.NumInts))
-					out = projectTuple(t, s.Project)
+					proj = append(proj, projectTuple(t, s.Project))
+					out = &proj[len(proj)-1]
 				}
 				mu.Lock()
 				total++
 				if s.Collect {
-					collected = append(collected, out)
+					collected = append(collected, *out)
 				}
 				mu.Unlock()
 				if s.StoreResult {
 					rr++
-					snd.Send(rc.diskSites[rr%len(rc.diskSites)], tagStore, &out, 0)
+					snd.Send(rc.diskSites[rr%len(rc.diskSites)], tagStore, out, 0)
 				}
 				return true
 			})
@@ -373,11 +383,14 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 				p.fold(t.Int(s.AggAttr))
 				return true
 			})
-			// Ship partials in first-seen order (deterministic).
-			for _, g := range order {
+			// Ship partials in first-seen order (deterministic). The
+			// encoded partials are materialized in one slice this worker
+			// owns, so the packets can carry references to them.
+			parts := make([]tuple.Tuple, len(order))
+			for i, g := range order {
 				h := split.Hash(g, 0)
-				pt := encodePartial(g, local[g])
-				snd.Send(jt.Lookup(h), tagProbe, &pt, h)
+				parts[i] = encodePartial(g, local[g])
+				snd.Send(jt.Lookup(h), tagProbe, &parts[i], h)
 			}
 		})
 	}
@@ -390,7 +403,7 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 				}
 				for i := range b.Tuples {
 					a.AddCPU(rc.m.AggUpdate)
-					g, part := decodePartial(&b.Tuples[i])
+					g, part := decodePartial(b.Tuples[i])
 					if p := siteFinals[g]; p != nil {
 						p.merge(&part)
 					} else {

@@ -97,8 +97,10 @@ type runCtx struct {
 	// from coordinator code (newTempFile runs between phases), like
 	// fileSeq. tempHandles holds the same files by handle so dropTempFiles
 	// can recycle their pages: nothing a Run returns aliases temp-file
-	// memory (results and collected rows are copied out), and redo units
-	// only re-read files from the same attempt, which is over by then.
+	// memory (results and collected rows are copied out), redo units only
+	// re-read files from the same attempt, which is over by then, and the
+	// exchange packets that carried references into these pages were all
+	// recycled at their phase barriers.
 	tempFiles   []string
 	tempHandles []*wiss.File
 
@@ -781,6 +783,11 @@ func (rc *runCtx) failover(sf *SiteFailure) bool {
 // close() — both are commutative sums, so batching the atomic traffic
 // cannot change the reported values. Every newEmitter caller must
 // `defer em.close()`.
+//
+// The store operator only counts what it writes, so the routed result
+// packet carries a count, not the composite: inner and outer are read here
+// and never referenced after emit returns (CollectResults takes its own
+// copy).
 type resultEmitter struct {
 	rc    *runCtx
 	rr    int // round-robin cursor over disk sites
@@ -808,7 +815,7 @@ func (e *resultEmitter) emit(a *cost.Acct, inner, outer *tuple.Tuple) {
 	if rc.spec.StoreResult {
 		e.rr++
 		dst := rc.diskSites[e.rr%len(rc.diskSites)]
-		e.snd.SendJoinedPair(dst, tagStore, inner, outer)
+		e.snd.SendResult(dst, tagStore)
 	}
 }
 
@@ -822,7 +829,8 @@ func (e *resultEmitter) close() {
 }
 
 // storeWriter appends result tuples at a disk site, charging tuple copies
-// and page writes for the result relation fragment.
+// and page writes for the result relation fragment. Result packets carry
+// only their tuple count (see Sender.SendResult).
 func (rc *runCtx) storeWriter(site int, a *cost.Acct, batches []*netsim.Batch) {
 	d, err := rc.c.Disk(site)
 	if err != nil {
@@ -839,7 +847,7 @@ func (rc *runCtx) storeWriter(site int, a *cost.Acct, batches []*netsim.Batch) {
 		if b.Tag != tagStore {
 			continue
 		}
-		for range b.Joined {
+		for range b.Results {
 			a.AddCPU(rc.m.WriteTuple)
 			*cnt++
 			if *cnt%int64(perPage) == 0 {

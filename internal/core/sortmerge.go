@@ -234,7 +234,9 @@ func (rc *runCtx) mergeJoinSite(site int, a *cost.Acct, snd *netsim.Sender, rf, 
 	scur := sf.NewCursor(a)
 	rt, rok := rcur.Next()
 	st, sok := scur.Next()
-	var group []tuple.Tuple
+	// Cursor tuples are references into the sorted temp files, which stay
+	// unmodified until the attempt drops them.
+	var group []*tuple.Tuple
 	for rok && sok {
 		a.AddCPU(rc.m.SortCompare)
 		rv := rt.Int(rc.spec.RAttr)
@@ -259,7 +261,7 @@ func (rc *runCtx) mergeJoinSite(site int, a *cost.Acct, snd *netsim.Sender, rf, 
 			for sok && st.Int(rc.spec.SAttr) == rv {
 				a.AddCPU(rc.m.SortCompare)
 				for i := range group {
-					em.emit(a, &group[i], &st)
+					em.emit(a, group[i], st)
 				}
 				st, sok = scur.Next()
 			}

@@ -93,18 +93,18 @@ func Load(c *Cluster, name string, tuples []tuple.Tuple, strat Strategy, partAtt
 	// disk, so grouping leaves every disk's page-write sequence unchanged;
 	// the charges go to a discarded account either way.
 	var sink cost.Acct
-	groups := make(map[int][]tuple.Tuple, len(disks))
+	groups := make(map[int][]*tuple.Tuple, len(disks))
 	switch strat {
 	case RoundRobin:
 		for i := range tuples {
 			site := disks[i%len(disks)]
-			groups[site] = append(groups[site], tuples[i])
+			groups[site] = append(groups[site], &tuples[i])
 		}
 	case HashPart:
 		for i := range tuples {
 			h := split.Hash(tuples[i].Int(partAttr), 0)
 			site := disks[h%uint64(len(disks))]
-			groups[site] = append(groups[site], tuples[i])
+			groups[site] = append(groups[site], &tuples[i])
 		}
 	case RangeUniform:
 		// Assign equal-count contiguous ranges of the sorted attribute:
@@ -119,7 +119,7 @@ func Load(c *Cluster, name string, tuples []tuple.Tuple, strat Strategy, partAtt
 		per := (len(tuples) + len(disks) - 1) / len(disks)
 		for rank, idx := range order {
 			site := disks[min(rank/max(per, 1), len(disks)-1)]
-			groups[site] = append(groups[site], tuples[idx])
+			groups[site] = append(groups[site], &tuples[idx])
 		}
 	default:
 		return nil, fmt.Errorf("gamma: unknown strategy %v", strat)

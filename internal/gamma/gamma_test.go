@@ -155,8 +155,8 @@ func TestExchange(t *testing.T) {
 		}
 		close(done)
 	}()
-	b1 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 5)}}
-	b2 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 4)}}
+	b1 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]*tuple.Tuple, 5)}}
+	b2 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]*tuple.Tuple, 4)}}
 	ex.Deliver(1, []*netsim.Batch{b1})
 	ex.Deliver(1, []*netsim.Batch{b2})
 	ex.Close()
@@ -183,6 +183,13 @@ func mk(v int32) tuple.Tuple {
 func insT(ht *HashTable, a *cost.Acct, v int32, h uint64) []tuple.Tuple {
 	tp := mk(v)
 	return ht.Insert(a, &tp, h)
+}
+
+// probeKey probes for one unique1 value as a one-element run.
+func probeKey(ht *HashTable, a *cost.Acct, h uint64, v int32, fn func(match *tuple.Tuple)) {
+	tp := mk(v)
+	ht.ProbeBatch(a, []*tuple.Tuple{&tp}, []uint64{h}, tuple.Unique1,
+		func(_, match *tuple.Tuple) { fn(match) })
 }
 
 func TestLoadHashPartShortCircuitProperty(t *testing.T) {
@@ -304,7 +311,7 @@ func TestHashTableBasic(t *testing.T) {
 		t.Fatalf("Len=%d overflowed=%v", ht.Len(), ht.Overflowed())
 	}
 	found := 0
-	ht.Probe(&a, split.Hash(500, 0), 500, func(match *tuple.Tuple) {
+	probeKey(ht, &a, split.Hash(500, 0), 500, func(match *tuple.Tuple) {
 		if match.Int(tuple.Unique1) != 500 {
 			t.Fatal("probe matched wrong tuple")
 		}
@@ -313,7 +320,7 @@ func TestHashTableBasic(t *testing.T) {
 	if found != 1 {
 		t.Fatalf("found %d matches", found)
 	}
-	ht.Probe(&a, split.Hash(5000, 0), 5000, func(*tuple.Tuple) { t.Fatal("ghost match") })
+	probeKey(ht, &a, split.Hash(5000, 0), 5000, func(*tuple.Tuple) { t.Fatal("ghost match") })
 }
 
 func TestHashTableDuplicates(t *testing.T) {
@@ -323,7 +330,7 @@ func TestHashTableDuplicates(t *testing.T) {
 		insT(ht, &a, 99, split.Hash(99, 0))
 	}
 	n := 0
-	ht.Probe(&a, split.Hash(99, 0), 99, func(*tuple.Tuple) { n++ })
+	probeKey(ht, &a, split.Hash(99, 0), 99, func(*tuple.Tuple) { n++ })
 	if n != 7 {
 		t.Fatalf("duplicate probe found %d, want 7", n)
 	}
@@ -393,7 +400,7 @@ func TestHashTableCutoffMonotone(t *testing.T) {
 	n := 0
 	for i := int32(0); i < 2000; i++ {
 		h := split.Hash(i, 7)
-		ht.Probe(&a, h, i, func(*tuple.Tuple) {
+		probeKey(ht, &a, h, i, func(*tuple.Tuple) {
 			n++
 			if AboveCutoff(ht.Cutoff(), h) {
 				t.Fatal("table retains tuple above cutoff")

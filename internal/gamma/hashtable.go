@@ -110,8 +110,8 @@ func NewHashTable(m *cost.Model, capBytes int64, attr int) *HashTable {
 
 // Release returns the table's backing arrays to the package pools and empties
 // the table. Only call it when no pointer into the entry array can still be
-// live — Probe/ProbeBatch callbacks receive such pointers, so releasing is
-// legal only after the phase that probed the table has reached its barrier.
+// live — ProbeBatch callbacks receive such pointers, so releasing is legal
+// only after the phase that probed the table has reached its barrier.
 func (ht *HashTable) Release() {
 	if ht == nil {
 		return
@@ -154,11 +154,11 @@ func (ht *HashTable) Len() int { return len(ht.entries) }
 func (ht *HashTable) BytesUsed() int64 { return int64(len(ht.entries)) * tuple.Bytes }
 
 // Insert adds a tuple whose overflow key is below the cutoff (callers must
-// check AboveCutoff first). The tuple is copied into the table; the pointer
-// is only borrowed for the call. If the insert exceeds capacity, one or more
-// clearing passes run and the evicted tuples are returned for the caller to
-// write to its overflow file; the histogram, CPU costs, and cutoff are
-// maintained here.
+// check AboveCutoff first). The table is a materializing sink: the tuple is
+// copied into it, so the pointer is only borrowed for the call. If the
+// insert exceeds capacity, one or more clearing passes run and the evicted
+// tuples are returned for the caller to write to its overflow file; the
+// histogram, CPU costs, and cutoff are maintained here.
 func (ht *HashTable) Insert(a *cost.Acct, t *tuple.Tuple, h uint64) []tuple.Tuple {
 	key := OverflowKey(h)
 	if key >= ht.cutoff {
@@ -205,7 +205,9 @@ func (ht *HashTable) Resize(a *cost.Acct, capBytes int64) []tuple.Tuple {
 
 // clearTenPercent picks a new, lower cutoff from the histogram that frees
 // about 10% of the table's capacity, evicts every entry at or above it, and
-// returns the evicted tuples.
+// returns the evicted tuples. The returned slice is freshly allocated and
+// owned by the caller, never a view of the entry array, so references into
+// it may ride the exchange to an overflow file after the table compacts.
 func (ht *HashTable) clearTenPercent(a *cost.Acct) []tuple.Tuple {
 	target := int32(ht.capBytes / tuple.Bytes / 10)
 	if target < 1 {
@@ -264,7 +266,8 @@ func (ht *HashTable) clearTenPercent(a *cost.Acct) []tuple.Tuple {
 
 // SpillAll drains the whole table — the dynamic Hybrid spill path, which
 // demotes an entire partition to disk instead of shaving 10% off a shared
-// table. Tuples come back in insertion order together with their routing
+// table. Tuples come back (in a fresh slice the caller owns, like
+// clearTenPercent's) in insertion order together with their routing
 // hashes so the caller can forward them to the partition's overflow file
 // with routing intact; the walk is charged like a clearing pass. The table
 // is left empty but reusable (capacity, attr, and cutoff untouched), ready
@@ -288,28 +291,22 @@ func (ht *HashTable) SpillAll(a *cost.Acct) ([]tuple.Tuple, []uint64) {
 	return tuples, hashes
 }
 
-// Probe looks up every stored tuple matching the key and calls fn for each,
-// charging the probe and per-chain-element costs.
-func (ht *HashTable) Probe(a *cost.Acct, h uint64, key int32, fn func(match *tuple.Tuple)) {
-	a.AddCPU(ht.model.Probe)
-	ht.probes++
-	for i := ht.heads[ht.slot(h)] - 1; i >= 0; i = ht.entries[i].next {
-		a.AddCPU(ht.model.Chain)
-		ht.chainVisits++
-		if ht.entries[i].t.Int(ht.attr) == key {
-			fn(&ht.entries[i].t)
-		}
-	}
-}
-
-// ProbeBatch probes the table with a whole run of outer tuples: outer tuple
-// i (with routing hash hashes[i]) is compared on its integer attribute attr
+// ProbeBatch probes the table with a run of outer tuples: outer tuple i
+// (with routing hash hashes[i]) is compared on its integer attribute attr
 // against the build side, and fn is called for every match. The charge
-// sequence — one Probe per outer tuple, one Chain per visited entry, with
-// fn's own charges landing between them exactly where the matches occur —
-// is identical to calling Probe in a loop; what batching removes is the
-// per-tuple closure allocation and call overhead of the serial form.
-func (ht *HashTable) ProbeBatch(a *cost.Acct, tuples []tuple.Tuple, hashes []uint64, attr int,
+// sequence is one Probe per outer tuple and one Chain per visited entry,
+// with fn's own charges landing between them exactly where the matches
+// occur. A single tuple probes as a one-element run.
+//
+// The compare is hash-first: a chain entry is confirmed on its key only
+// when its stored routing hash equals the outer tuple's. Every caller
+// hashes both sides with split.Hash under the same seed, and split.Hash is
+// a pure function of (key, seed), so equal keys always carry equal hashes
+// and the filter can never drop a true match; the key compare still rejects
+// hash collisions. The outer tuple is therefore dereferenced only on a hash
+// match — a small fraction of the probe stream on selective joins — and the
+// chain walk (and its charge) is unchanged.
+func (ht *HashTable) ProbeBatch(a *cost.Acct, tuples []*tuple.Tuple, hashes []uint64, attr int,
 	fn func(outer, match *tuple.Tuple)) {
 	// fn never mutates the table (match callbacks only emit), so the hot
 	// loop can work from locals instead of reloading fields after each call.
@@ -317,15 +314,14 @@ func (ht *HashTable) ProbeBatch(a *cost.Acct, tuples []tuple.Tuple, hashes []uin
 	battr := ht.attr
 	probeNs, chainNs := ht.model.Probe, ht.model.Chain
 	nheads := uint64(len(heads))
-	for i := range tuples {
+	for i, h := range hashes[:len(tuples)] {
 		a.AddCPU(probeNs)
 		ht.probes++
-		key := tuples[i].Int(attr)
-		for e := heads[int(xrand.Mix64(hashes[i]^slotSalt)%nheads)] - 1; e >= 0; e = entries[e].next {
+		for e := heads[int(xrand.Mix64(h^slotSalt)%nheads)] - 1; e >= 0; e = entries[e].next {
 			a.AddCPU(chainNs)
 			ht.chainVisits++
-			if entries[e].t.Int(battr) == key {
-				fn(&tuples[i], &entries[e].t)
+			if entries[e].h == h && entries[e].t.Int(battr) == tuples[i].Int(attr) {
+				fn(tuples[i], &entries[e].t)
 			}
 		}
 	}

@@ -148,8 +148,11 @@ func (n *Network) Counters() Counters {
 	}
 }
 
-// Batch is one packet's worth of tuples addressed to one operator stream.
-// Exactly one of the embedded tuple run or Joined is populated. Batches are
+// Batch is one packet's worth of traffic addressed to one operator stream:
+// either a run of tuple references (the embedded tuple.Batch) or, on the
+// result stream, a count of composite result tuples. Neither form carries a
+// copy of a row — the simulated copy into the packet is charged per tuple
+// by the Sender, and the host copy would add nothing to it. Batches are
 // recycled through a package arena: receivers hand processed batches back
 // via PutBatches, so steady-state packet traffic allocates nothing.
 type Batch struct {
@@ -159,8 +162,8 @@ type Batch struct {
 	Tag   int   // stream tag, interpreted by the consumer (e.g. overflow)
 	Seq   int64 // per-sender sequence number, for deterministic replay
 
-	tuple.Batch                // Tuples + parallel join-attribute Hashes
-	Joined      []tuple.Joined // composite result tuples
+	tuple.Batch     // tuple references + parallel join-attribute Hashes
+	Results     int // composite result tuples in the packet (payload-free)
 
 	// Dups is how many spurious duplicate copies of this packet the
 	// (faulted) network delivered; the receiver charges protocol CPU to
@@ -169,39 +172,36 @@ type Batch struct {
 }
 
 // Len returns the number of tuples in the batch.
-func (b *Batch) Len() int { return len(b.Tuples) + len(b.Joined) }
+func (b *Batch) Len() int { return len(b.Tuples) + b.Results }
 
 // reset empties the batch for reuse, keeping the backing arrays.
 func (b *Batch) reset() {
 	b.Batch.Reset()
-	b.Joined = b.Joined[:0]
+	b.Results = 0
 	b.Dups = 0
 	b.Seq = 0
 }
 
 // batchPool recycles packet batches across senders, phases, and queries.
-// Buffer capacities are sized lazily by the senders (capT plain tuples or
-// capJ joined tuples), so a recycled batch's arrays are already full-size.
+// Buffer capacities are sized lazily by the senders (capT tuple references),
+// so a recycled batch's arrays are already full-size.
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
-// GetBatch returns an empty batch from the package arena. Senders call this
-// internally; it is exported for tests and for code that fabricates batches
-// outside a Sender (which should be rare — see the costcharge analyzer).
-func GetBatch() *Batch {
-	b := batchPool.Get().(*Batch)
-	b.reset()
-	return b
-}
+// getBatch returns an empty batch from the package arena.
+func getBatch() *Batch { return batchPool.Get().(*Batch) }
 
-// PutBatch recycles one batch. The caller must not touch it afterwards.
+// PutBatch recycles one batch. The caller must not touch it afterwards. The
+// batch is emptied on the way in, so an idle pooled batch holds no tuple
+// references.
 func PutBatch(b *Batch) {
 	if b != nil {
+		b.reset()
 		batchPool.Put(b)
 	}
 }
 
-// PutBatches recycles every batch in the slice. Receivers call it after the
-// tuples have been copied out (consumed batches must never be retained).
+// PutBatches recycles every batch in the slice. Receivers call it once they
+// are done with the batches (consumed batches must never be retained).
 func PutBatches(bs []*Batch) {
 	for _, b := range bs {
 		PutBatch(b)
@@ -255,7 +255,7 @@ type Sender struct {
 	src    int
 	out    func(dst int, run []*Batch)
 	capT   int        // plain tuples per packet
-	capJ   int        // joined tuples per packet
+	capJ   int        // result tuples per packet
 	wtNs   cost.SimNs // cached model.WriteTuple (hot: charged once per tuple sent)
 	runLen int        // packets per delivery run
 	seq    int64
@@ -368,7 +368,7 @@ func (s *Sender) buffer(dst, tag int) *Batch {
 	}
 	b := s.cur[dst]
 	if b == nil {
-		b = GetBatch()
+		b = getBatch()
 		b.Src, b.Dst, b.Local, b.Tag = s.src, dst, s.local(dst), tag
 		s.cur[dst] = b
 		s.order = append(s.order, streamKey{dst, tag})
@@ -377,14 +377,15 @@ func (s *Sender) buffer(dst, tag int) *Batch {
 }
 
 // Send routes one tuple (with its precomputed join-attribute hash) to the
-// stream (dst, tag), charging the copy into the outgoing packet. The tuple
-// is copied immediately; the pointer may target a buffer about to be
-// recycled.
+// stream (dst, tag), charging the copy into the outgoing packet. Only the
+// reference travels: t must stay valid and unmodified until the receiving
+// phase reaches its barrier (base and temp-file pages, hash-table eviction
+// slices, and worker-owned scratch all do — see DESIGN.md §6).
 func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 	s.a.AddCPU(s.wtNs)
 	b := s.buffer(dst, tag)
 	if cap(b.Tuples) == 0 {
-		b.Tuples = make([]tuple.Tuple, 0, s.capT)
+		b.Tuples = make([]*tuple.Tuple, 0, s.capT)
 		b.Hashes = make([]uint64, 0, s.capT)
 	}
 	b.Append(t, h)
@@ -393,34 +394,16 @@ func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 	}
 }
 
-// SendJoined routes one composite result tuple to the stream (dst, tag).
-func (s *Sender) SendJoined(dst, tag int, j *tuple.Joined) {
+// SendResult routes one composite join-result tuple to the stream (dst,
+// tag). The store operator only counts result tuples, so the packet carries
+// no payload — but the per-tuple copy is charged and a packet fills after
+// TuplesPerPacket(JoinedBytes) results, exactly as if the 416-byte
+// composites were on board.
+func (s *Sender) SendResult(dst, tag int) {
 	s.a.AddCPU(s.wtNs)
 	b := s.buffer(dst, tag)
-	if cap(b.Joined) == 0 {
-		b.Joined = make([]tuple.Joined, 0, s.capJ)
-	}
-	b.Joined = append(b.Joined, *j)
-	if len(b.Joined) >= s.capJ {
-		s.flush(b)
-	}
-}
-
-// SendJoinedPair is SendJoined for a match still held as two halves: the
-// composite is assembled directly in the outgoing packet slot, skipping the
-// caller-side 2x tuple copy. Charges and flush behaviour are identical to
-// SendJoined.
-func (s *Sender) SendJoinedPair(dst, tag int, inner, outer *tuple.Tuple) {
-	s.a.AddCPU(s.wtNs)
-	b := s.buffer(dst, tag)
-	if cap(b.Joined) == 0 {
-		b.Joined = make([]tuple.Joined, 0, s.capJ)
-	}
-	n := len(b.Joined)
-	b.Joined = b.Joined[:n+1]
-	b.Joined[n].Inner = *inner
-	b.Joined[n].Outer = *outer
-	if len(b.Joined) >= s.capJ {
+	b.Results++
+	if b.Results >= s.capJ {
 		s.flush(b)
 	}
 }
@@ -467,7 +450,7 @@ func (s *Sender) flush(b *Batch) {
 	}
 
 	// Clear the stream slot (the tag is always the cached one here: flush is
-	// only reached from Send/SendJoined/FlushAll right after buffer()).
+	// only reached from Send/SendResult/FlushAll right after buffer()).
 	s.cur[b.Dst] = nil
 
 	// Delivery: append to the destination's run; hand the run over when it

@@ -164,13 +164,16 @@ func TestJoinedBatching(t *testing.T) {
 	var a cost.Acct
 	var got []*Batch
 	s := n.NewSender(&a, 0, collectInto(&got))
-	// 416-byte result tuples: 4 per packet.
+	// 416-byte result tuples: 4 per packet, each charged one tuple copy,
+	// though the packet carries only the count.
 	for i := 0; i < 4; i++ {
-		j := tuple.Joined{}
-		s.SendJoined(1, 0, &j)
+		s.SendResult(1, 0)
 	}
-	if len(got) != 1 || got[0].Len() != 4 {
+	if len(got) != 1 || got[0].Len() != 4 || got[0].Results != 4 || len(got[0].Tuples) != 0 {
 		t.Fatalf("joined batching wrong: %d batches", len(got))
+	}
+	if want := 4*m.WriteTuple + m.PacketProto; a.CPU != want {
+		t.Fatalf("result sends charged %v CPU, want %v", a.CPU, want)
 	}
 }
 
@@ -303,8 +306,7 @@ func TestSerialRunEquivalence(t *testing.T) {
 			dst := src.Intn(6)
 			tag := src.Intn(4)
 			if i%17 == 0 {
-				j := tuple.Joined{}
-				s.SendJoined(dst, 99, &j)
+				s.SendResult(dst, 99)
 				continue
 			}
 			tp := mkTuple(int32(i))

@@ -1,78 +1,39 @@
 package tuple
 
-import "sync"
-
-// Batch is a columnar run of tuples paired with their routing hashes — the
+// Batch is a run of tuple references paired with their routing hashes — the
 // unit the batched operator engine moves through split tables, exchanges,
-// and hash-table probes. Keeping the two parallel slices together (rather
-// than a slice of (tuple, hash) pairs) lets the inner loops touch only the
-// 8-byte hash column until a tuple actually qualifies.
+// and hash-table probes. Tuples holds pointers, not rows: a batch never
+// copies a tuple, it names one that lives in storage someone else owns (a
+// relation or temp-file page, a hash table's eviction slice, or a worker's
+// own scratch). The Hashes column sits beside it so inner loops can filter
+// on the 8-byte hash and dereference a tuple only when it qualifies.
 //
 // A Batch is single-owner: exactly one goroutine appends to it, and once it
 // is handed off (delivered through an exchange) only the receiver reads it.
+// The referenced tuples must stay unmodified until the receiver is done; in
+// the engine that window ends at the phase barrier (see DESIGN.md §6,
+// "Reference-passing exchange").
 type Batch struct {
-	Tuples []Tuple
+	Tuples []*Tuple
 	Hashes []uint64
 }
 
 // Len returns the number of tuples in the batch.
 func (b *Batch) Len() int { return len(b.Tuples) }
 
-// Reset empties the batch, retaining the backing arrays for reuse.
+// Reset empties the batch, retaining the backing arrays for reuse. The
+// stale references are cleared so a recycled batch does not keep the pages
+// they point into reachable.
 func (b *Batch) Reset() {
+	clear(b.Tuples)
 	b.Tuples = b.Tuples[:0]
 	b.Hashes = b.Hashes[:0]
 }
 
-// Append copies one tuple and its hash into the batch. The tuple is copied
-// immediately, so the caller may pass a pointer into a buffer it is about to
-// recycle.
+// Append adds a reference to t and its hash to the batch. The tuple itself
+// is not copied: t must stay valid and unmodified for as long as the batch
+// (or whoever it is handed to) may read it.
 func (b *Batch) Append(t *Tuple, h uint64) {
-	b.Tuples = append(b.Tuples, *t)
+	b.Tuples = append(b.Tuples, t)
 	b.Hashes = append(b.Hashes, h)
-}
-
-// Arena recycles Batches so steady-state batch traffic allocates nothing:
-// hot paths Get a batch, fill it, hand it off, and the eventual consumer
-// Puts it back once the tuples have been copied out. Batches cross
-// goroutines (producer -> exchange -> consumer), so the arena is safe for
-// concurrent Get/Put; the zero-allocation property is per steady state, not
-// per call (the underlying pool may shed buffers under GC pressure).
-type Arena struct {
-	cap  int
-	pool sync.Pool
-}
-
-// NewArena returns an arena handing out batches whose backing arrays are
-// pre-sized to hold capacity tuples, so appends up to that point never grow.
-func NewArena(capacity int) *Arena {
-	if capacity < 1 {
-		capacity = 1
-	}
-	a := &Arena{cap: capacity}
-	a.pool.New = func() any {
-		return &Batch{
-			Tuples: make([]Tuple, 0, capacity),
-			Hashes: make([]uint64, 0, capacity),
-		}
-	}
-	return a
-}
-
-// Cap returns the pre-sized tuple capacity of batches from this arena.
-func (a *Arena) Cap() int { return a.cap }
-
-// Get returns an empty batch with pre-sized backing arrays.
-func (a *Arena) Get() *Batch {
-	b := a.pool.Get().(*Batch)
-	b.Reset()
-	return b
-}
-
-// Put recycles a batch. The caller must not touch it afterwards.
-func (a *Arena) Put(b *Batch) {
-	if b == nil {
-		return
-	}
-	a.pool.Put(b)
 }

@@ -1,9 +1,6 @@
 package tuple
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestBatchAppendReset(t *testing.T) {
 	var b Batch
@@ -27,57 +24,4 @@ func TestBatchAppendReset(t *testing.T) {
 	if b.Len() != 0 || len(b.Hashes) != 0 {
 		t.Fatalf("Reset left %d tuples / %d hashes", b.Len(), len(b.Hashes))
 	}
-}
-
-func TestBatchAppendCopies(t *testing.T) {
-	var b Batch
-	src := Tuple{}
-	src.SetInt(Unique1, 42)
-	b.Append(&src, 1)
-	src.SetInt(Unique1, 99) // mutating the source must not affect the batch
-	if got := b.Tuples[0].Int(Unique1); got != 42 {
-		t.Fatalf("batch saw mutation of source tuple: %d", got)
-	}
-}
-
-func TestArenaPreSizedAndRecycled(t *testing.T) {
-	a := NewArena(9)
-	if a.Cap() != 9 {
-		t.Fatalf("Cap = %d, want 9", a.Cap())
-	}
-	b := a.Get()
-	if cap(b.Tuples) < 9 || cap(b.Hashes) < 9 {
-		t.Fatalf("arena batch caps = %d/%d, want >= 9", cap(b.Tuples), cap(b.Hashes))
-	}
-	var tt Tuple
-	for i := 0; i < 9; i++ {
-		b.Append(&tt, uint64(i))
-	}
-	a.Put(b)
-	b2 := a.Get() // same or fresh batch, but always empty
-	if b2.Len() != 0 {
-		t.Fatalf("recycled batch not reset: %d tuples", b2.Len())
-	}
-	a.Put(nil) // must be a no-op
-}
-
-func TestArenaConcurrent(t *testing.T) {
-	a := NewArena(4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var tt Tuple
-			for i := 0; i < 1000; i++ {
-				b := a.Get()
-				b.Append(&tt, uint64(i))
-				if b.Len() != 1 {
-					t.Error("dirty batch from arena")
-				}
-				a.Put(b)
-			}
-		}()
-	}
-	wg.Wait()
 }

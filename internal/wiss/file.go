@@ -124,34 +124,34 @@ func getPage(perPage int) []tuple.Tuple {
 
 // Recycle returns every page to the package page pool and empties the file.
 // Only call it when no pointer into the file's pages can still be live —
-// cursors, Scan callbacks, and At results all alias page memory. The sort
-// utility recycles its private run files this way; operator temp files are
-// not recycled because a redo may re-scan them.
+// cursors, Scan callbacks, At results, and the tuple references that
+// exchange packets carry all alias page memory. The sort utility recycles
+// its private run files this way, and the join engine recycles an attempt's
+// operator temp files once the attempt is over. In race-detector builds
+// each page is overwritten with a poison pattern first (poisonPage), so a
+// reference that outlives its file reads garbage keys and fails a result
+// checksum instead of silently reading a recycled page's next tenant.
 func (f *File) Recycle() {
 	f.mu.Lock()
 	for _, pg := range f.pages {
+		poisonPage(pg)
 		pagePool.Put(pg[:0]) //nolint:staticcheck // slice header round-trips through any
 	}
 	f.pages, f.n = nil, 0
 	f.mu.Unlock()
 }
 
-// Append adds one tuple, charging the tuple copy to a and a page write when
-// a page fills. Callers must Flush once the stream ends to persist (and
-// charge) the final partial page.
-func (f *File) Append(a *cost.Acct, t tuple.Tuple) {
-	f.appendOne(a, &t)
-}
-
-// appendOne is Append without the by-value argument copy; the tuple is
-// copied exactly once, into the page.
-func (f *File) appendOne(a *cost.Acct, t *tuple.Tuple) {
+// Append copies one tuple into the file, charging the copy to a and a page
+// write when a page fills. The file is a materializing sink: t is only
+// borrowed for the call. Callers must Flush once the stream ends to persist
+// (and charge) the final partial page.
+func (f *File) Append(a *cost.Acct, t *tuple.Tuple) {
 	f.mu.Lock()
 	f.appendLocked(a, t)
 	f.mu.Unlock()
 }
 
-// appendLocked is the body of appendOne with f.mu already held, so a writer
+// appendLocked is the body of Append with f.mu already held, so a writer
 // that owns the file exclusively (the sort's merge loop) can amortize the
 // lock over a whole output stream.
 func (f *File) appendLocked(a *cost.Acct, t *tuple.Tuple) {
@@ -168,12 +168,14 @@ func (f *File) appendLocked(a *cost.Acct, t *tuple.Tuple) {
 	}
 }
 
-// AppendBatch adds a run of tuples under one lock acquisition, charging
-// exactly what the equivalent sequence of Append calls would: one
-// WriteTuple per tuple, with a page write landing between the same two
-// tuple copies whenever a page fills. Callers must Flush once the stream
-// ends to persist (and charge) the final partial page.
-func (f *File) AppendBatch(a *cost.Acct, tuples []tuple.Tuple) {
+// AppendBatch copies a run of referenced tuples into the file under one
+// lock acquisition, charging exactly what the equivalent sequence of Append
+// calls would: one WriteTuple per tuple, with a page write landing between
+// the same two tuple copies whenever a page fills. This is the one charging
+// path for appending a run — exchange packets, sort runs, and relation
+// loading all hand it references. Callers must Flush once the stream ends
+// to persist (and charge) the final partial page.
+func (f *File) AppendBatch(a *cost.Acct, tuples []*tuple.Tuple) {
 	if len(tuples) == 0 {
 		return
 	}
@@ -194,10 +196,14 @@ func (f *File) AppendBatch(a *cost.Acct, tuples []tuple.Tuple) {
 			k = room
 		}
 		a.AddCPU(cost.ScaleNs(k, f.model.WriteTuple))
-		f.pages[last] = append(f.pages[last], tuples[:k]...)
+		pg := f.pages[last]
+		for _, t := range tuples[:k] {
+			pg = append(pg, *t)
+		}
+		f.pages[last] = pg
 		f.n += int64(k)
 		tuples = tuples[k:]
-		if len(f.pages[last]) >= f.perPage {
+		if len(pg) >= f.perPage {
 			f.dsk.WritePage(a, f.id)
 		}
 	}
@@ -295,19 +301,11 @@ func (f *File) NewCursor(a *cost.Acct) *Cursor {
 	return &Cursor{f: f, a: a}
 }
 
-// Next returns the next tuple, or ok=false at end of file.
-func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
-	p, ok := c.NextP()
-	if !ok {
-		return tuple.Tuple{}, false
-	}
-	return *p, true
-}
-
-// NextP is Next without the by-value copy: the returned pointer aliases the
-// file's page memory and stays valid while the file is neither mutated nor
-// recycled (merge inputs are fully written before cursors read them).
-func (c *Cursor) NextP() (t *tuple.Tuple, ok bool) {
+// Next returns the next tuple, or ok=false at end of file. The returned
+// pointer aliases the file's page memory and stays valid while the file is
+// neither mutated nor recycled (merge inputs are fully written before
+// cursors read them).
+func (c *Cursor) Next() (t *tuple.Tuple, ok bool) {
 	pages := c.pages
 	if pages == nil {
 		c.f.mu.Lock()

@@ -15,11 +15,11 @@ func testFile(t *testing.T, name string) (*File, *disk.Disk, *cost.Model) {
 	return NewFile(name, d, m), d, m
 }
 
-func mkTuple(u1 int32) tuple.Tuple {
+func mkTuple(u1 int32) *tuple.Tuple {
 	var tp tuple.Tuple
 	tp.SetInt(tuple.Unique1, u1)
 	tp.SetInt(tuple.Unique2, u1*7)
-	return tp
+	return &tp
 }
 
 func TestAppendScanRoundTrip(t *testing.T) {

@@ -43,9 +43,11 @@ func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, er
 		fanin = 2
 	}
 
-	// Pass 0: run formation.
+	// Pass 0: run formation. The in-memory run holds references into src's
+	// pages (src is neither mutated nor recycled during the sort); the
+	// tuples themselves are copied once, when the sorted run is appended.
 	var runs []*File
-	cur := make([]tuple.Tuple, 0, min(runTuples, int(src.Len())))
+	cur := make([]*tuple.Tuple, 0, min(runTuples, int(src.Len())))
 	flushRun := func() {
 		if len(cur) == 0 {
 			return
@@ -68,7 +70,7 @@ func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, er
 		cur = cur[:0]
 	}
 	src.Scan(a, func(t *tuple.Tuple) bool {
-		cur = append(cur, *t)
+		cur = append(cur, t)
 		if len(cur) >= runTuples {
 			flushRun()
 		}
@@ -127,22 +129,23 @@ var chunkScratch = sync.Pool{New: func() any { return new(chunkBufs) }}
 
 type chunkBufs struct {
 	keys []uint64
-	ts   []tuple.Tuple
+	ts   []*tuple.Tuple
 }
 
-// sortChunk sorts tuples in memory by attr and charges n*ceil(log2 n)
-// comparisons plus n moves. The sort is applied through a key permutation:
-// each tuple's sign-biased 32-bit key is packed above its index, so sorting
-// the packed words orders ties by original position — exactly the
-// permutation a stable sort of the tuples themselves would produce — while
-// the sort itself touches only 8-byte words, never 208-byte tuples.
-func sortChunk(a *cost.Acct, m *cost.Model, ts []tuple.Tuple, attr int) {
+// sortChunk sorts a run of tuple references in memory by attr and charges
+// n*ceil(log2 n) comparisons plus n moves. The sort is applied through a key
+// permutation: each tuple's sign-biased 32-bit key is packed above its
+// index, so sorting the packed words orders ties by original position —
+// exactly the permutation a stable sort of the tuples themselves would
+// produce — while the sort itself touches only 8-byte words, never 208-byte
+// tuples.
+func sortChunk(a *cost.Acct, m *cost.Model, ts []*tuple.Tuple, attr int) {
 	n := len(ts)
 	if n > 1 {
 		bufs := chunkScratch.Get().(*chunkBufs)
 		if cap(bufs.keys) < n {
 			bufs.keys = make([]uint64, n)
-			bufs.ts = make([]tuple.Tuple, n)
+			bufs.ts = make([]*tuple.Tuple, n)
 		}
 		keys, scratch := bufs.keys[:n], bufs.ts[:n]
 		for i := range keys {
@@ -153,6 +156,7 @@ func sortChunk(a *cost.Acct, m *cost.Model, ts []tuple.Tuple, attr int) {
 		for i, k := range keys {
 			ts[i] = scratch[uint32(k)]
 		}
+		clear(scratch) // drop the references so the pool pins no pages
 		chunkScratch.Put(bufs)
 		lg := int64(bits.Len(uint(n - 1)))
 		a.AddCPU(cost.ScaleNs(int64(n)*lg, m.SortCompare))
@@ -224,7 +228,7 @@ func mergeRuns(a *cost.Acct, m *cost.Model, runs []*File, out *File, attr int) {
 	h := &mergeHeap{attr: attr}
 	for i, r := range runs {
 		cursors[i] = r.NewCursor(a)
-		if t, ok := cursors[i].NextP(); ok {
+		if t, ok := cursors[i].Next(); ok {
 			h.items = append(h.items, mergeItem{t: t, src: i})
 		}
 	}
@@ -237,7 +241,7 @@ func mergeRuns(a *cost.Acct, m *cost.Model, runs []*File, out *File, attr int) {
 		it := h.items[0]
 		a.AddCPU(cost.ScaleNs(lg, m.SortCompare) + m.SortMove)
 		out.appendLocked(a, it.t)
-		if t, ok := cursors[it.src].NextP(); ok {
+		if t, ok := cursors[it.src].Next(); ok {
 			h.items[0] = mergeItem{t: t, src: it.src}
 			h.down(0)
 		} else {
