@@ -68,25 +68,31 @@ bench-batch-baseline:
 	$(GO) run ./cmd/benchcheck -emit BENCH_$(BENCH_WALL).json \
 		-sim-only -against BENCH_$(BENCH_SEED).json < /tmp/gammajoin-bench.txt
 
+# BENCH_FRESH succeeds when the bench run's output exists and is newer than
+# every Go source file, i.e. it was produced by the code being gated.
+BENCH_FRESH = test -s /tmp/gammajoin-bench.txt && \
+	test -z "$$(find . -name '*.go' -newer /tmp/gammajoin-bench.txt -print -quit)"
+
 # bench-sim gates only the simulated metrics — the machine-independent,
 # must-match-exactly half of the bench gate. A drifted sim metric is a
 # correctness change, not a perf regression, so this gate has no tolerance
-# and no noise. Reuses the bench run's output when one exists. It first runs
+# and no noise. Reuses the bench run's output only when it is fresh (see
+# BENCH_FRESH); a run left by an earlier checkout is redone. It first runs
 # the serial-vs-batched equivalence matrix under the race detector: every
 # algorithm in every scenario (clean, faults, failover, budget swings,
-# cancellation) must produce bit-identical reports at BatchSize 1 and the
-# batched default.
+# cancellation) must produce bit-identical reports at delivery-run length 1
+# and the batched default.
 bench-sim:
 	$(GO) test -race -run 'TestBatchedEquivalence' -count 1 ./internal/core/
-	@test -s /tmp/gammajoin-bench.txt || $(GO) test $(BENCH_FLAGS) > /tmp/gammajoin-bench.txt || { cat /tmp/gammajoin-bench.txt; exit 1; }
+	@$(BENCH_FRESH) || $(GO) test $(BENCH_FLAGS) > /tmp/gammajoin-bench.txt || { cat /tmp/gammajoin-bench.txt; exit 1; }
 	$(GO) run ./cmd/benchcheck -sim-only -against BENCH_$(BENCH_SEED).json < /tmp/gammajoin-bench.txt
 	@echo "sim-metrics gate: OK"
 
 # bench-wall-report writes the fig5 serial-vs-batched wall-clock comparison
 # (current run against the pre-batching BENCH_$(BENCH_SEED).json) to a file
-# CI uploads as an artifact. Reuses the bench run's output when one exists.
+# CI uploads as an artifact. Reuses the bench run's output only when fresh.
 bench-wall-report:
-	@test -s /tmp/gammajoin-bench.txt || $(GO) test $(BENCH_FLAGS) > /tmp/gammajoin-bench.txt || { cat /tmp/gammajoin-bench.txt; exit 1; }
+	@$(BENCH_FRESH) || $(GO) test $(BENCH_FLAGS) > /tmp/gammajoin-bench.txt || { cat /tmp/gammajoin-bench.txt; exit 1; }
 	$(GO) run ./cmd/benchcheck -wall-delta Figure5 \
 		-against BENCH_$(BENCH_SEED).json < /tmp/gammajoin-bench.txt \
 		| tee /tmp/gammajoin-fig5-wall.txt

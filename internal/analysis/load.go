@@ -140,7 +140,7 @@ func (l *Loader) loadPath(path string) (*LoadedPackage, error) {
 		return nil, err
 	}
 	// Build-constraint filtering uses the default build context, so
-	// tag-switched variant files (e.g. a gammajoin_serial default) resolve
+	// tag-switched variant files (e.g. wiss's race-only page poisoning) resolve
 	// the same way `go build` does instead of colliding as redeclarations.
 	ctx := build.Default
 	var names []string

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"gammajoin/internal/cost"
 	"gammajoin/internal/fault"
 	"gammajoin/internal/gamma"
 	"gammajoin/internal/netsim"
@@ -13,21 +12,20 @@ import (
 )
 
 // The serial-vs-batched equivalence matrix is the contract of the batched
-// engine: Config.BatchSize changes only how many packets a sender hands to
-// an exchange per operation — never what the simulator charges. Every cell
-// below runs one algorithm in one scenario twice, once with the legacy
-// packet-at-a-time engine (BatchSize 1) and once with the batched default,
-// and requires bit-identical reports, result relations, and canonical
-// traces.
+// engine: the network's delivery-run length (Network.SetRunLength) changes
+// only how many packets a sender hands to an exchange per operation — never
+// what the simulator charges. Every cell below runs one algorithm in one
+// scenario twice, once with the legacy packet-at-a-time engine (run length
+// 1) and once with the batched default, and requires bit-identical reports,
+// result relations, and canonical traces.
 
-// withBatchSize runs fn with Cfg.BatchSize pinned to n, restoring the
-// previous configuration afterwards. Cfg is process-wide, so the matrix
-// flips it strictly serially, never inside a parallel subtest.
-func withBatchSize(n int, fn func()) {
-	prev := Cfg.BatchSize
-	Cfg.BatchSize = n
-	defer func() { Cfg.BatchSize = prev }()
-	fn()
+// newBatchCluster builds the matrix's cluster with the given delivery-run
+// length. The setting lives on the cluster's network, so concurrent runs
+// never share it.
+func newBatchCluster(batch int) *gamma.Cluster {
+	c := gamma.NewLocal(8, nil)
+	c.Net.SetRunLength(batch)
+	return c
 }
 
 // batchScenario is one row of the matrix: a cluster mutation applied before
@@ -94,22 +92,18 @@ func batchScenarios() []batchScenario {
 // size and returns the report.
 func runMatrixCell(t *testing.T, sc batchScenario, alg Algorithm, batch int) *Report {
 	t.Helper()
-	var rep *Report
-	withBatchSize(batch, func() {
-		c := gamma.NewLocal(8, nil)
-		if sc.setup != nil {
-			sc.setup(t, alg, c)
+	c := newBatchCluster(batch)
+	if sc.setup != nil {
+		sc.setup(t, alg, c)
+	}
+	f := mkFixture(t, c, 4000, gamma.HashPart, tuple.Unique1)
+	return runJoin(t, f, alg, 0.25, func(sp *Spec) {
+		sp.CollectResults = true
+		sp.BitFilter = true
+		if sc.opts != nil {
+			sc.opts(sp)
 		}
-		f := mkFixture(t, c, 4000, gamma.HashPart, tuple.Unique1)
-		rep = runJoin(t, f, alg, 0.25, func(sp *Spec) {
-			sp.CollectResults = true
-			sp.BitFilter = true
-			if sc.opts != nil {
-				sc.opts(sp)
-			}
-		})
 	})
-	return rep
 }
 
 // TestBatchedEquivalence: for every algorithm in every scenario, the serial
@@ -156,31 +150,21 @@ func TestBatchedEquivalenceCancel(t *testing.T) {
 		// Establish the clean response (and from it a mid-join deadline)
 		// with the serial engine; equivalence of the clean run is covered
 		// by the matrix above.
-		var dl cost.SimNs
-		withBatchSize(1, func() {
-			c := gamma.NewLocal(8, nil)
-			f := mkFixture(t, c, 4000, gamma.HashPart, tuple.Unique1)
-			dl = cancelDeadline(t, f, alg, 0.25)
-		})
+		dl := cancelDeadline(t, mkFixture(t, newBatchCluster(1), 4000, gamma.HashPart, tuple.Unique1), alg, 0.25)
 
 		cancel := func(batch int) error {
-			var err error
-			withBatchSize(batch, func() {
-				c := gamma.NewLocal(8, nil)
-				f := mkFixture(t, c, 4000, gamma.HashPart, tuple.Unique1)
-				var rep *Report
-				rep, err = Run(f.c, Spec{
-					Alg: alg, R: f.r, S: f.s,
-					RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-					MemRatio: 0.25, DeadlineNs: dl,
-				})
-				if err == nil {
-					t.Fatalf("%v: batch %d: mid-join deadline did not cancel", alg, batch)
-				}
-				if rep != nil {
-					t.Fatalf("%v: batch %d: canceled run returned a report", alg, batch)
-				}
+			f := mkFixture(t, newBatchCluster(batch), 4000, gamma.HashPart, tuple.Unique1)
+			rep, err := Run(f.c, Spec{
+				Alg: alg, R: f.r, S: f.s,
+				RAttr: tuple.Unique1, SAttr: tuple.Unique1,
+				MemRatio: 0.25, DeadlineNs: dl,
 			})
+			if err == nil {
+				t.Fatalf("%v: batch %d: mid-join deadline did not cancel", alg, batch)
+			}
+			if rep != nil {
+				t.Fatalf("%v: batch %d: canceled run returned a report", alg, batch)
+			}
 			return err
 		}
 

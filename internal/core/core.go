@@ -110,9 +110,6 @@ type Spec struct {
 	// small buckets are formed and then combined into memory-sized join
 	// groups by measured size, absorbing skew without overflow.
 	BucketTuning bool
-	// TuneFactor is how many times more buckets than optimal BucketTuning
-	// forms (default 3).
-	TuneFactor int
 
 	// InnerSizeHint tells the optimizer the expected inner size in bytes
 	// after RPred's selection (Gamma's optimizer estimates selectivities

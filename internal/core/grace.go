@@ -7,12 +7,14 @@ import (
 	"gammajoin/internal/bitfilter"
 	"gammajoin/internal/cost"
 	"gammajoin/internal/gamma"
-	"gammajoin/internal/netsim"
-	"gammajoin/internal/pred"
 	"gammajoin/internal/split"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wiss"
 )
+
+// tuneFactor is how many times more buckets than optimal Grace bucket
+// tuning forms.
+const tuneFactor = 3
 
 // runGrace executes the parallel Grace hash-join (Section 3.3): both
 // relations are first partitioned into N disk buckets — each bucket itself
@@ -25,11 +27,7 @@ func (rc *runCtx) runGrace() error {
 		// Bucket tuning [KITS83]: form several times more buckets than
 		// memory strictly requires, then combine them into memory-sized
 		// join groups by their measured sizes.
-		tune := rc.spec.TuneFactor
-		if tune < 2 {
-			tune = 3
-		}
-		nb = rc.optimizerBuckets(false) * tune
+		nb = rc.optimizerBuckets(false) * tuneFactor
 		if !rc.spec.SkipAnalyzer {
 			nb = split.AnalyzeBuckets(false, len(rc.diskSites), len(rc.joinSites), nb)
 		}
@@ -56,29 +54,23 @@ func (rc *runCtx) runGrace() error {
 	// The forming filters and split table survive a failover — Gamma ships
 	// them in scheduler control packets, so they are not lost with a site.
 	if err := rc.runUnit(func() error {
-		return rc.formPhase("form R", rc.spec.R, rc.spec.RAttr, rc.spec.RPred, pt, rb, 0, ff, true)
+		return rc.partitionPhase(newPhase("form R", formOps, -1), true, pt, rb, ff, nil)
 	}); err != nil {
 		return err
 	}
 	if err := rc.runUnit(func() error {
-		return rc.formPhase("form S", rc.spec.S, rc.spec.SAttr, rc.spec.SPred, pt, sb, 0, ff, false)
+		return rc.partitionPhase(newPhase("form S", formOps, -1), false, pt, sb, ff, nil)
 	}); err != nil {
 		return err
 	}
 
 	for _, group := range rc.bucketGroups(rb, nb) {
 		var rsrc, ssrc []fileAt
-		label := "bucket"
-		for i, b := range group {
+		for _, b := range group {
 			rsrc = append(rsrc, rc.bucketSources(rb, b)...)
 			ssrc = append(ssrc, rc.bucketSources(sb, b)...)
-			if i == 0 {
-				label = fmt.Sprintf("bucket %d", b+1)
-			} else {
-				label += fmt.Sprintf("+%d", b+1)
-			}
 		}
-		if err := rc.hashJoinStreams(label, group[0], rsrc, ssrc, rc.spec.HashSeed, 0); err != nil {
+		if err := rc.hashJoin(groupLabel("bucket", group), group[0], rsrc, ssrc, rc.spec.HashSeed, 0, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -164,6 +156,16 @@ func (rc *runCtx) bucketGroups(rb []map[int]*wiss.File, nb int) [][]int {
 	return groups
 }
 
+// groupLabel names a join group's phases after its members, 1-based:
+// "bucket 3" or "partition 2+5+7".
+func groupLabel(kind string, group []int) string {
+	label := fmt.Sprintf("%s %d", kind, group[0]+1)
+	for _, id := range group[1:] {
+		label += fmt.Sprintf("+%d", id+1)
+	}
+	return label
+}
+
 // makeFormingFilters builds one bit filter per (bucket, disk site) for the
 // FilterForming extension, or nil when it is disabled.
 func (rc *runCtx) makeFormingFilters(first, n int) []map[int]*bitfilter.Filter {
@@ -197,22 +199,6 @@ func (rc *runCtx) makeBucketFiles(name string, first, n int) ([]map[int]*wiss.Fi
 	return files, nil
 }
 
-// makePartitionFiles creates one temporary file per dynamic-Hybrid
-// partition, each at the partition's home disk site. Unlike bucket files,
-// a partition is not horizontally fragmented: spills are rare whole-table
-// demotions, so each partition lives on one disk.
-func (rc *runCtx) makePartitionFiles(name string, np int) (map[int]*wiss.File, error) {
-	files := make(map[int]*wiss.File, np)
-	for p := 0; p < np; p++ {
-		f, err := rc.newTempFile(fmt.Sprintf("%s.p%d", name, p), rc.dynHome(p, np))
-		if err != nil {
-			return nil, err
-		}
-		files[p] = f
-	}
-	return files, nil
-}
-
 // bucketSources lists the non-empty fragments of one bucket.
 func (rc *runCtx) bucketSources(files []map[int]*wiss.File, b int) []fileAt {
 	var src []fileAt
@@ -224,71 +210,66 @@ func (rc *runCtx) bucketSources(files []map[int]*wiss.File, b int) []fileAt {
 	return src
 }
 
-// formPhase redistributes a relation into bucket files through a
-// partitioning split table. firstDiskBucket is 0 for Grace; Hybrid callers
-// do not use formPhase (their partitioning overlaps with joining). When
-// forming filters are supplied they are built from the inner relation
-// (building=true) and applied to the outer, dropping non-joining tuples
+// formOps labels Grace's bucket-forming passes.
+var formOps = opLabels{produce: "scan", consume: "bucket write"}
+
+// partitionPhase redistributes the inner (R) or outer (S) relation through
+// a partitioning split table into bucket files: Grace's forming passes,
+// and Hybrid's overlapped passes when a join set holds bucket 1 (bucket 0
+// of the split table) in memory — the inner pass builds its hash tables,
+// the outer pass probes them on the fly. ps carries the caller's name, op
+// labels and bucket. Forming filters, when supplied, are built from the
+// inner relation and applied to the outer, dropping non-joining tuples
 // before the disk write.
-func (rc *runCtx) formPhase(name string, rel *gamma.Relation, attr int, p pred.Pred, pt *split.PartTable,
-	buckets []map[int]*wiss.File, firstDiskBucket int,
-	formFilters []map[int]*bitfilter.Filter, building bool) error {
-	ps := phaseSpec{
-		name:    name,
-		end:     gamma.EndOpts{SplitEntries: pt.Entries()},
-		ops:     opLabels{produce: "scan", consume: "bucket write"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
-	seed := rc.spec.HashSeed
-	for _, s := range rel.FragmentSites() {
-		f := rel.Fragments[s]
-		ps.produce[s] = append(ps.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, p, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(attr), seed)
-				b, dst := pt.Lookup(h)
-				snd.Send(dst, b, t, h)
-				return true
-			})
-		})
-	}
-	for _, ds := range rc.diskSites {
-		ds := ds
-		ps.consume[ds] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			for _, b := range batches {
-				f := buckets[b.Tag][ds]
-				var flt *bitfilter.Filter
-				if formFilters != nil {
-					flt = formFilters[b.Tag][ds]
-				}
-				if flt == nil {
-					f.AppendBatch(a, b.Tuples)
-				} else {
-					for i := range b.Tuples {
-						a.AddCPU(rc.m.FilterBit)
-						if building {
-							flt.Set(b.Hashes[i])
-						} else if !flt.Test(b.Hashes[i]) {
-							rc.filterDropped.Add(1)
-							continue
-						}
-						f.Append(a, b.Tuples[i])
-					}
-				}
-				if b.Local {
-					rc.mFormLocal.Add(int64(len(b.Tuples)))
-				} else {
-					rc.mFormRemote.Add(int64(len(b.Tuples)))
-				}
+func (rc *runCtx) partitionPhase(ps phaseSpec, inner bool, pt *split.PartTable, buckets []map[int]*wiss.File,
+	formFilters []map[int]*bitfilter.Filter, js *joinSet) error {
+	ps.end = gamma.EndOpts{SplitEntries: pt.Entries()}
+	src, attr, p := rc.relSide(inner)
+	rc.scanRoute(ps.produce, src, attr, p, rc.spec.HashSeed, js != nil && !inner && js.filters != nil,
+		func(a *cost.Acct, h uint64) (int, int) {
+			b, dst := pt.Lookup(h)
+			switch {
+			case b != 0 || js == nil:
+				return dst, b
+			case inner:
+				return dst, tagProbe
+			default:
+				return rc.probeDest(js, a, dst, h)
 			}
-			for bkt := firstDiskBucket; bkt < len(buckets); bkt++ {
-				buckets[bkt][ds].Flush(a)
+		})
+	// Every disk site appends the bucket tuples it receives to its bucket
+	// fragments; a join site that is also a disk site joins first. The
+	// sinks share backing arrays, so a phase allocates them once.
+	nb := len(buckets)
+	sinks := make([]fileSink, len(rc.diskSites))
+	slots := make([]*wiss.File, len(sinks)*nb)
+	var filters []*bitfilter.Filter
+	if formFilters != nil {
+		filters = make([]*bitfilter.Filter, len(slots))
+	}
+	for i, ds := range rc.diskSites {
+		s := &sinks[i]
+		s.slots = slots[i*nb : (i+1)*nb : (i+1)*nb]
+		s.flush, s.forming, s.building = s.slots, true, inner
+		for b, frags := range buckets {
+			if frags != nil { // nil is the resident bucket
+				s.slots[b] = frags[ds]
 			}
 		}
+		if filters != nil {
+			s.filters = filters[i*nb : (i+1)*nb : (i+1)*nb]
+			for b, ff := range formFilters {
+				s.filters[b] = ff[ds]
+			}
+		}
+		ps.consume[ds] = rc.sinkConsumer(s)
+	}
+	switch {
+	case js == nil:
+	case inner:
+		rc.wireBuild(&ps, js)
+	default:
+		rc.wireProbe(&ps, js)
 	}
 	return rc.runPhase(ps)
 }

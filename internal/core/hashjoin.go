@@ -13,8 +13,8 @@ import (
 	"gammajoin/internal/wiss"
 )
 
-// hashJoinStreams joins a set of inner-relation source files against a set
-// of outer-relation source files by redistributing them through the joining
+// hashJoin joins a set of inner-relation source files against a set of
+// outer-relation source files by redistributing them through the joining
 // split table, building and probing memory-limited hash tables at the join
 // sites, and recursively resolving hash-table overflow with the paper's
 // histogram/cutoff mechanism — i.e., the Simple hash-join, which is also
@@ -27,15 +27,9 @@ import (
 // base is the overflow level the first iteration represents (0 for a fresh
 // Simple join, 1 when resolving a Hybrid first-bucket overflow). bucket is
 // the 0-based bucket this join processes, carried onto the trace spans (-1
-// for un-bucketed joins).
-func (rc *runCtx) hashJoinStreams(prefix string, bucket int, rsrc, ssrc []fileAt, seed uint64, base int) error {
-	return rc.hashJoinStreamsPred(prefix, bucket, rsrc, ssrc, seed, base, nil, nil)
-}
-
-// hashJoinStreamsPred is hashJoinStreams with selection predicates applied
-// to the first level's scans (relation scans; overflow files are already
-// filtered).
-func (rc *runCtx) hashJoinStreamsPred(prefix string, bucket int, rsrc, ssrc []fileAt, seed uint64, base int,
+// for un-bucketed joins). The selection predicates apply to the first
+// level's scans only (relation scans; overflow files are already filtered).
+func (rc *runCtx) hashJoin(prefix string, bucket int, rsrc, ssrc []fileAt, seed uint64, base int,
 	rPred, sPred pred.Pred) error {
 	level := 0
 	prevR := int64(-1)
@@ -104,14 +98,7 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 	// Pair outer sources with inner sources by file order: joinLevel
 	// emits them in matching join-site order; unmatched outer files have
 	// no inner partner and produce nothing.
-	ps := phaseSpec{
-		name:      name,
-		ops:       opLabels{produce: "block join", consume: "store"},
-		bucket:    bucket,
-		hasBucket: bucket >= 0,
-		produce:   map[int][]producerFn{},
-		consume:   map[int]consumerFn{},
-	}
+	ps := newPhase(name, opLabels{produce: "block join", consume: "store"}, bucket)
 	for i, rf := range rsrc {
 		if i >= len(ssrc) {
 			break
@@ -178,256 +165,417 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 // fit in memory everywhere).
 func (rc *runCtx) joinLevel(name string, bucket int, rsrc, ssrc []fileAt, seed uint64, rPred, sPred pred.Pred) (rover, sover []fileAt, err error) {
 	jt := &split.JoinTable{Sites: rc.joinSites}
-
-	tables := make(map[int]*gamma.HashTable, len(rc.joinSites))
-	var filters map[int]*bitfilter.Filter
-	if rc.spec.BitFilter {
-		filters = make(map[int]*bitfilter.Filter, len(rc.joinSites))
-	}
-	roverF := make(map[int]*wiss.File, len(rc.joinSites))
-	soverF := make(map[int]*wiss.File, len(rc.joinSites))
-	for _, j := range rc.joinSites {
-		tables[j] = gamma.NewHashTable(rc.m, rc.tableCap(), rc.spec.RAttr)
-		if filters != nil {
-			filters[j] = bitfilter.New(rc.filterBits)
-		}
-		home := rc.c.OverflowDiskSite(j)
-		if roverF[j], err = rc.newTempFile(name+".rover", home); err != nil {
-			return nil, nil, err
-		}
-		if soverF[j], err = rc.newTempFile(name+".sover", home); err != nil {
-			return nil, nil, err
-		}
+	js, err := rc.newJoinSet(name)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// ---- build phase: redistribute the inner source files ----
-	build := phaseSpec{
-		name:      name + " build",
-		end:       gamma.EndOpts{SplitEntries: jt.Entries()},
-		ops:       opLabels{produce: "scan", consume: "build", write: "overflow write"},
-		bucket:    bucket,
-		hasBucket: bucket >= 0,
-		produce:   map[int][]producerFn{},
-		consume:   map[int]consumerFn{},
-		write:     map[int]writerFn{},
-	}
-	for _, src := range rsrc {
-		f := src.f
-		build.produce[src.site] = append(build.produce[src.site], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, rPred, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.RAttr), seed)
-				snd.Send(jt.Lookup(h), tagProbe, t, h)
-				return true
-			})
-		})
-	}
-	for _, j := range rc.joinSites {
-		j := j
-		build.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			tbl := tables[j]
-			var flt *bitfilter.Filter
-			if filters != nil {
-				flt = filters[j]
-			}
-			home := rc.c.OverflowDiskSite(j)
-			for _, b := range batches {
-				if b.Tag != tagProbe {
-					continue
-				}
-				for i := range b.Tuples {
-					h := b.Hashes[i]
-					if flt != nil {
-						// The filter covers every inner tuple of this
-						// level, including overflow-bound ones, so
-						// dropping outer misses is always safe.
-						a.AddCPU(rc.m.FilterBit)
-						flt.Set(h)
-					}
-					if gamma.AboveCutoff(tbl.Cutoff(), h) {
-						rc.mROver.Add(1)
-						snd.Send(home, tagROverBase+j, b.Tuples[i], h)
-						continue
-					}
-					evs := tbl.Insert(a, b.Tuples[i], h)
-					for k := range evs {
-						rc.mROver.Add(1)
-						snd.Send(home, tagROverBase+j, &evs[k], 0)
-					}
-				}
-			}
-			rc.applyMemPressure(a, snd, j, tbl)
-			rc.overflowClears.Add(int64(tbl.Overflows()))
-		}
-	}
-	rc.addOverflowWriters(build.write, roverF, tagROverBase)
+	build := newPhase(name+" build", opLabels{produce: "scan", consume: "build", write: "overflow write"}, bucket)
+	build.end = gamma.EndOpts{SplitEntries: jt.Entries()}
+	rc.scanRoute(build.produce, rsrc, rc.spec.RAttr, rPred, seed, false, func(_ *cost.Acct, h uint64) (int, int) {
+		return jt.Lookup(h), tagProbe
+	})
+	rc.wireBuild(&build, js)
 	if err := rc.runPhase(build); err != nil {
 		return nil, nil, err
 	}
-
-	// Cutoffs are published to the scheduler at the phase barrier and
-	// embedded in the split table used for the outer relation (the h'
-	// functions of Section 3.2). Dense site-indexed storage keeps the
-	// per-tuple lookup in the probe scan a bounds check, not a map probe.
-	cutoffs := make([]uint64, len(rc.c.Sites))
-	for _, j := range rc.joinSites {
-		cutoffs[j] = tables[j].Cutoff()
-	}
+	js.publishCutoffs()
 
 	// ---- probe phase: redistribute the outer source files ----
-	probe := phaseSpec{
-		name:      name + " probe",
-		end:       gamma.EndOpts{SplitEntries: jt.Entries()},
-		ops:       opLabels{produce: "scan", consume: "probe", write: "store"},
+	probe := newPhase(name+" probe", opLabels{produce: "scan", consume: "probe", write: "store"}, bucket)
+	probe.end = gamma.EndOpts{SplitEntries: jt.Entries()}
+	rc.scanRoute(probe.produce, ssrc, rc.spec.SAttr, sPred, seed, js.filters != nil,
+		func(a *cost.Acct, h uint64) (int, int) { return rc.probeDest(js, a, jt.Lookup(h), h) })
+	rc.wireProbe(&probe, js)
+	if err := rc.runPhase(probe); err != nil {
+		return nil, nil, err
+	}
+	js.release()
+	rover, sover = js.overflowSources(rc, js.sites)
+	return rover, sover, nil
+}
+
+// newPhase starts a phaseSpec with empty role maps. bucket is the 0-based
+// bucket the phase joins, or -1 when it joins none.
+func newPhase(name string, ops opLabels, bucket int) phaseSpec {
+	return phaseSpec{
+		name:      name,
+		ops:       ops,
 		bucket:    bucket,
 		hasBucket: bucket >= 0,
 		produce:   map[int][]producerFn{},
 		consume:   map[int]consumerFn{},
 		write:     map[int]writerFn{},
 	}
-	for _, src := range ssrc {
-		f := src.f
-		probe.produce[src.site] = append(probe.produce[src.site], func(a *cost.Acct, snd *netsim.Sender) {
-			if filters != nil {
-				// Receive the shared filter packet from the join sites.
+}
+
+// relSources lists a base relation's fragments in site order.
+func relSources(rel *gamma.Relation) []fileAt {
+	src := make([]fileAt, 0, len(rel.Fragments))
+	for _, s := range rel.FragmentSites() {
+		src = append(src, fileAt{site: s, f: rel.Fragments[s]})
+	}
+	return src
+}
+
+// relSide returns the scan inputs of the inner (R) or outer (S) relation.
+func (rc *runCtx) relSide(inner bool) (src []fileAt, attr int, p pred.Pred) {
+	if inner {
+		return relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred
+	}
+	return relSources(rc.spec.S), rc.spec.SAttr, rc.spec.SPred
+}
+
+// routeFn picks the destination site and stream tag for a scanned tuple
+// from its routing hash; a negative site drops the tuple.
+type routeFn func(a *cost.Acct, h uint64) (dst, tag int)
+
+// scanRoute adds one producer per source file: it scans the file, applies
+// the selection predicate, hashes the join attribute with seed and sends
+// each surviving tuple where route says. Every hash-join scan — forming,
+// partitioning, build, probe, sort-merge redistribution, resurrection —
+// is this loop. filterPacket producers first receive the join sites'
+// shared bit-filter packet.
+func (rc *runCtx) scanRoute(produce map[int][]producerFn, src []fileAt, attr int, p pred.Pred, seed uint64,
+	filterPacket bool, route routeFn) {
+	for _, s := range src {
+		f := s.f
+		produce[s.site] = append(produce[s.site], func(a *cost.Acct, snd *netsim.Sender) {
+			if filterPacket {
 				a.AddCPU(rc.m.PacketProto)
 			}
 			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, sPred, t) {
+				if !rc.scanPred(a, p, t) {
 					return true
 				}
 				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.SAttr), seed)
-				j := jt.Lookup(h)
-				if filters != nil {
-					a.AddCPU(rc.m.FilterBit)
-					if !filters[j].Test(h) {
-						rc.filterDropped.Add(1)
-						return true
-					}
+				h := split.Hash(t.Int(attr), seed)
+				if dst, tag := route(a, h); dst >= 0 {
+					snd.Send(dst, tag, t, h)
 				}
-				if gamma.AboveCutoff(cutoffs[j], h) {
-					rc.mSOver.Add(1)
-					snd.Send(rc.c.OverflowDiskSite(j), tagSOverBase+j, t, h)
-					return true
-				}
-				snd.Send(j, tagProbe, t, h)
 				return true
 			})
 		})
 	}
+}
+
+// joinSet is one build/probe pass's state at the join sites, indexed by
+// site: a memory-limited hash table, an optional bit filter, and the R and
+// S overflow files at the site's overflow disk, plus the cutoffs the build
+// barrier publishes to the probe's split table.
+type joinSet struct {
+	sites        []int
+	tables       []*gamma.HashTable
+	filters      []*bitfilter.Filter // nil without BitFilter
+	rover, sover []*wiss.File
+	cutoffs      []uint64 // nil before publishCutoffs
+}
+
+// newJoinSet builds a join set over the current join sites; its overflow
+// temp files are named name.rover and name.sover.
+func (rc *runCtx) newJoinSet(name string) (*joinSet, error) {
+	n := len(rc.c.Sites)
+	js := &joinSet{
+		sites:   rc.joinSites,
+		tables:  make([]*gamma.HashTable, n),
+		filters: rc.siteFilters(),
+		rover:   make([]*wiss.File, n),
+		sover:   make([]*wiss.File, n),
+	}
+	var err error
 	for _, j := range rc.joinSites {
-		j := j
-		probe.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			tbl := tables[j]
-			em := rc.newEmitter(j, snd)
-			defer em.close()
-			onMatch := func(outer, match *tuple.Tuple) { em.emit(a, match, outer) }
-			for _, b := range batches {
-				if b.Tag != tagProbe {
-					continue
-				}
-				tbl.ProbeBatch(a, b.Tuples, b.Hashes, rc.spec.SAttr, onMatch)
-			}
-			rc.noteChains(j, tbl)
+		js.tables[j] = gamma.NewHashTable(rc.m, rc.tableCap(), rc.spec.RAttr)
+		home := rc.c.OverflowDiskSite(j)
+		if js.rover[j], err = rc.newTempFile(name+".rover", home); err != nil {
+			return nil, err
+		}
+		if js.sover[j], err = rc.newTempFile(name+".sover", home); err != nil {
+			return nil, err
 		}
 	}
-	rc.addFileAppendConsumers(probe.consume, soverF, tagSOverBase)
+	return js, nil
+}
+
+// siteFilters builds one bit filter per join site, or nil without
+// BitFilter.
+func (rc *runCtx) siteFilters() []*bitfilter.Filter {
+	if !rc.spec.BitFilter {
+		return nil
+	}
+	filters := make([]*bitfilter.Filter, len(rc.c.Sites))
+	for _, j := range rc.joinSites {
+		filters[j] = bitfilter.New(rc.filterBits)
+	}
+	return filters
+}
+
+// publishCutoffs records the build's cutoffs in dense site-indexed storage,
+// so the per-tuple lookup in the probe scan is a bounds check, not a map
+// probe (the h' functions of Section 3.2).
+func (js *joinSet) publishCutoffs() {
+	js.cutoffs = make([]uint64, len(js.tables))
+	for _, j := range js.sites {
+		js.cutoffs[j] = js.tables[j].Cutoff()
+	}
+}
+
+// release recycles the hash-table arrays once the probe barrier has passed:
+// no worker can still hold a pointer into them. On error paths the redo
+// machinery rebuilds fresh tables and the old ones are left to the garbage
+// collector.
+func (js *joinSet) release() {
+	for _, j := range js.sites {
+		js.tables[j].Release()
+	}
+}
+
+// overflowSources pairs each non-empty R-overflow file with its site's
+// S-overflow file, visiting join sites in the given order. An S overflow
+// can only exist where an R overflow activated the cutoff, so pairing on
+// the inner file covers everything; blockJoinLevel relies on rover[i] and
+// sover[i] sharing a join site.
+func (js *joinSet) overflowSources(rc *runCtx, sites []int) (rover, sover []fileAt) {
+	for _, j := range sites {
+		if js.rover[j].Len() > 0 {
+			home := rc.c.OverflowDiskSite(j)
+			rover = append(rover, fileAt{site: home, f: js.rover[j]})
+			sover = append(sover, fileAt{site: home, f: js.sover[j]})
+		}
+	}
+	return rover, sover
+}
+
+// filterSet adds an inner tuple's hash to join site j's bit filter, if any.
+func (rc *runCtx) filterSet(filters []*bitfilter.Filter, a *cost.Acct, j int, h uint64) {
+	if filters != nil {
+		a.AddCPU(rc.m.FilterBit)
+		filters[j].Set(h)
+	}
+}
+
+// filterPass tests an outer tuple's hash against join site j's bit filter,
+// counting a miss as dropped; without filters every tuple passes for free.
+func (rc *runCtx) filterPass(filters []*bitfilter.Filter, a *cost.Acct, j int, h uint64) bool {
+	if filters == nil {
+		return true
+	}
+	a.AddCPU(rc.m.FilterBit)
+	if filters[j].Test(h) {
+		return true
+	}
+	rc.filterDropped.Add(1)
+	return false
+}
+
+// probeDest routes an outer tuple bound for join site j: a bit-filter miss
+// drops it, a hash above j's published cutoff diverts it to j's S-overflow
+// file, and everything else goes to j's probe. A join set without cutoffs
+// (dynamic Hybrid's resident partitions) never diverts.
+func (rc *runCtx) probeDest(js *joinSet, a *cost.Acct, j int, h uint64) (int, int) {
+	if !rc.filterPass(js.filters, a, j, h) {
+		return -1, 0
+	}
+	if js.cutoffs != nil && gamma.AboveCutoff(js.cutoffs[j], h) {
+		rc.mSOver.Add(1)
+		return rc.c.OverflowDiskSite(j), tagSOverBase + j
+	}
+	return j, tagProbe
+}
+
+// buildConsumer inserts the inner tuples arriving at join site j into its
+// hash table. Tuples above the cutoff, and tuples a clearing pass evicts,
+// are demoted to j's R-overflow file through the phase's second exchange.
+func (rc *runCtx) buildConsumer(js *joinSet, j int) consumerFn {
+	return func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		tbl := js.tables[j]
+		home := rc.c.OverflowDiskSite(j)
+		for _, b := range batches {
+			if b.Tag != tagProbe {
+				continue
+			}
+			for i := range b.Tuples {
+				h := b.Hashes[i]
+				// The filter covers every inner tuple of this level,
+				// including overflow-bound ones, so dropping outer misses
+				// is always safe.
+				rc.filterSet(js.filters, a, j, h)
+				if gamma.AboveCutoff(tbl.Cutoff(), h) {
+					rc.mROver.Add(1)
+					snd.Send(home, tagROverBase+j, b.Tuples[i], h)
+					continue
+				}
+				evs := tbl.Insert(a, b.Tuples[i], h)
+				for k := range evs {
+					rc.mROver.Add(1)
+					snd.Send(home, tagROverBase+j, &evs[k], 0)
+				}
+			}
+		}
+		rc.applyMemPressure(a, snd, j, tbl)
+		rc.overflowClears.Add(int64(tbl.Overflows()))
+	}
+}
+
+// probeConsumer probes join site j's hash table with the outer tuples
+// arriving there and emits the matches to the result store.
+func (rc *runCtx) probeConsumer(js *joinSet, j int) consumerFn {
+	return func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		tbl := js.tables[j]
+		em := rc.newEmitter(j, snd)
+		defer em.close()
+		onMatch := func(outer, match *tuple.Tuple) { em.emit(a, match, outer) }
+		for _, b := range batches {
+			if b.Tag != tagProbe {
+				continue
+			}
+			tbl.ProbeBatch(a, b.Tuples, b.Hashes, rc.spec.SAttr, onMatch)
+		}
+		rc.noteChains(j, tbl)
+	}
+}
+
+// wireBuild adds the join set's build consumers to ps, each running before
+// any consumer already at its site, and the second-stage writers that
+// append demoted inner tuples to the R-overflow files.
+func (rc *runCtx) wireBuild(ps *phaseSpec, js *joinSet) {
+	for _, j := range js.sites {
+		ps.consume[j] = chain(rc.buildConsumer(js, j), ps.consume[j])
+	}
+	rc.addSinkWriters(ps.write, rc.homedSinks(tagROverBase, js.rover, js.sites, rc.c.OverflowDiskSite, false))
+}
+
+// wireProbe adds the join set's probe consumers to ps, each running before
+// any consumer already at its site; then, in front of everything at each
+// overflow disk, the appends of the S-overflow tuples the producers divert
+// there; and the result-store writers.
+func (rc *runCtx) wireProbe(ps *phaseSpec, js *joinSet) {
+	for _, j := range js.sites {
+		ps.consume[j] = chain(rc.probeConsumer(js, j), ps.consume[j])
+	}
+	rc.addSinkConsumers(ps.consume, rc.homedSinks(tagSOverBase, js.sover, js.sites, rc.c.OverflowDiskSite, false))
+	rc.addStoreWriters(ps.write)
+}
+
+// addStoreWriters installs the result-store writer at every disk site.
+func (rc *runCtx) addStoreWriters(write map[int]writerFn) {
 	for _, ds := range rc.diskSites {
 		ds := ds
-		probe.write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
+		write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
 			rc.storeWriter(ds, a, batches)
 		}
 	}
-	if err := rc.runPhase(probe); err != nil {
-		return nil, nil, err
-	}
-	// Both phases have reached their barriers, so no worker can still hold a
-	// pointer into the tables; recycle their arrays for the next level. On
-	// the error paths above the redo machinery rebuilds fresh tables and the
-	// old ones are left to the garbage collector.
-	for _, j := range rc.joinSites {
-		tables[j].Release()
-	}
-
-	// Keep rover[i] and sover[i] paired by join site (an S overflow can
-	// only exist where an R overflow activated the cutoff, so pairing on
-	// the inner file covers everything); blockJoinLevel relies on this
-	// alignment.
-	for _, j := range rc.joinSites {
-		if roverF[j].Len() > 0 {
-			home := rc.c.OverflowDiskSite(j)
-			rover = append(rover, fileAt{site: home, f: roverF[j]})
-			sover = append(sover, fileAt{site: home, f: soverF[j]})
-		}
-	}
-	return rover, sover, nil
 }
 
-// addOverflowWriters installs one writer per disk site that appends batches
-// tagged tagBase+joinSite to that join site's overflow file. Used for inner
-// relation evictions, which are emitted by the build consumers into the
-// phase's second exchange.
-func (rc *runCtx) addOverflowWriters(write map[int]writerFn, files map[int]*wiss.File, tagBase int) {
-	byHome := rc.overflowHomes()
-	for _, ds := range rc.diskSites {
-		ds := ds
-		homed := byHome[ds]
-		if len(homed) == 0 {
+// chain runs first and then second on the same batches, for a site playing
+// two roles in one phase. The order matters: a disk charges a file switch
+// whenever an access targets a different file than the disk's last one, so
+// each site's sequence of appends and flushes is part of the cost.
+func chain(first, second consumerFn) consumerFn {
+	if second == nil {
+		return first
+	}
+	return func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		first(a, snd, batches)
+		second(a, snd, batches)
+	}
+}
+
+// fileSink appends tagged batches to temp files at one site — bucket
+// fragments, overflow files, dynamic-Hybrid partitions, sort-merge runs.
+// A batch tagged base+i appends to slots[i]; any other tag belongs to
+// another role at the site and is skipped. After the appends every file in
+// flush is flushed, in order (nil entries are skipped, so a sink may flush
+// its own slots).
+type fileSink struct {
+	base  int
+	slots []*wiss.File
+	flush []*wiss.File
+	// forming counts appended batches as forming-phase traffic (the
+	// paper's Table 2 local-write fraction).
+	forming bool
+	// filters, when set, holds a bit filter per slot: the inner relation
+	// builds it (building) and the outer tests against it, dropping misses
+	// before the disk write.
+	filters  []*bitfilter.Filter
+	building bool
+}
+
+// sink runs s over one delivery of batches.
+func (rc *runCtx) sink(a *cost.Acct, s *fileSink, batches []*netsim.Batch) {
+	for _, b := range batches {
+		i := b.Tag - s.base
+		if i < 0 || i >= len(s.slots) || s.slots[i] == nil {
 			continue
 		}
-		write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
-			for _, b := range batches {
-				files[b.Tag-tagBase].AppendBatch(a, b.Tuples)
-			}
-			for _, j := range homed {
-				files[j].Flush(a)
-			}
+		f := s.slots[i]
+		var flt *bitfilter.Filter
+		if s.filters != nil {
+			flt = s.filters[i]
 		}
-	}
-}
-
-// overflowHomes groups join sites by the disk site hosting their overflow
-// files, in deterministic join-site order.
-func (rc *runCtx) overflowHomes() map[int][]int {
-	byHome := make(map[int][]int)
-	for _, j := range rc.joinSites {
-		home := rc.c.OverflowDiskSite(j)
-		byHome[home] = append(byHome[home], j)
-	}
-	return byHome
-}
-
-// addFileAppendConsumers extends (or installs) stage-1 consumers at the
-// disk sites so batches tagged tagBase+joinSite — sent straight from the
-// producing sites — are appended to the corresponding overflow file. A site
-// that already has a consumer (a join site in the local configuration)
-// dispatches on the tag.
-func (rc *runCtx) addFileAppendConsumers(consume map[int]consumerFn, files map[int]*wiss.File, tagBase int) {
-	byHome := rc.overflowHomes()
-	for _, ds := range rc.diskSites {
-		homed := byHome[ds]
-		if len(homed) == 0 {
-			continue
-		}
-		prev := consume[ds]
-		ds := ds
-		consume[ds] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			for _, b := range batches {
-				if b.Tag < tagBase || b.Tag >= tagBase+len(rc.c.Sites) {
+		if flt == nil {
+			f.AppendBatch(a, b.Tuples)
+		} else {
+			for k := range b.Tuples {
+				a.AddCPU(rc.m.FilterBit)
+				if s.building {
+					flt.Set(b.Hashes[k])
+				} else if !flt.Test(b.Hashes[k]) {
+					rc.filterDropped.Add(1)
 					continue
 				}
-				files[b.Tag-tagBase].AppendBatch(a, b.Tuples)
-			}
-			for _, j := range homed {
-				files[j].Flush(a)
-			}
-			if prev != nil {
-				prev(a, snd, batches)
+				f.Append(a, b.Tuples[k])
 			}
 		}
+		if s.forming {
+			if b.Local {
+				rc.mFormLocal.Add(int64(len(b.Tuples)))
+			} else {
+				rc.mFormRemote.Add(int64(len(b.Tuples)))
+			}
+		}
+	}
+	for _, f := range s.flush {
+		if f != nil {
+			f.Flush(a)
+		}
+	}
+}
+
+// sinkConsumer runs s as a first-stage consumer.
+func (rc *runCtx) sinkConsumer(s *fileSink) consumerFn {
+	return func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) { rc.sink(a, s, batches) }
+}
+
+// homedSinks builds one sink per disk site that homes at least one of the
+// files: file key k (tag base+k) lives at home(k). Every sink shares the
+// slots and flushes only its own files, in keys order.
+func (rc *runCtx) homedSinks(base int, files []*wiss.File, keys []int, home func(int) int, forming bool) map[int]*fileSink {
+	sinks := make(map[int]*fileSink)
+	backing := make([]fileSink, 0, len(keys)) // one allocation for every sink
+	for _, k := range keys {
+		h := home(k)
+		if sinks[h] == nil {
+			backing = append(backing, fileSink{base: base, slots: files, forming: forming})
+			sinks[h] = &backing[len(backing)-1]
+		}
+		sinks[h].flush = append(sinks[h].flush, files[k])
+	}
+	return sinks
+}
+
+// addSinkConsumers puts each site's sink in front of the consumer the site
+// already runs, if any (a local join site's build or probe).
+func (rc *runCtx) addSinkConsumers(consume map[int]consumerFn, sinks map[int]*fileSink) {
+	for _, site := range sortedKeys(sinks) {
+		consume[site] = chain(rc.sinkConsumer(sinks[site]), consume[site])
+	}
+}
+
+// addSinkWriters installs each site's sink as its second-stage writer.
+func (rc *runCtx) addSinkWriters(write map[int]writerFn, sinks map[int]*fileSink) {
+	for _, site := range sortedKeys(sinks) {
+		s := sinks[site]
+		write[site] = func(a *cost.Acct, batches []*netsim.Batch) { rc.sink(a, s, batches) }
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"math"
 	"sort"
 
-	"gammajoin/internal/bitfilter"
 	"gammajoin/internal/cost"
 	"gammajoin/internal/gamma"
 	"gammajoin/internal/netsim"
-	"gammajoin/internal/split"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wiss"
 	"gammajoin/internal/xrand"
@@ -114,11 +112,12 @@ func (rc *runCtx) runHybridDyn() error {
 	// partition files — freshly named each attempt via fileSeq) is rebuilt
 	// inside the closure over the possibly-shrunken join-site list.
 	var (
-		rFiles, sFiles map[int]*wiss.File
+		rFiles, sFiles []*wiss.File
 		spilled        []bool
 	)
-	if err := rc.runUnit(func() error {
-		return rc.dynBuildProbe(np, seed, &rFiles, &sFiles, &spilled)
+	if err := rc.runUnit(func() (err error) {
+		rFiles, sFiles, spilled, err = rc.dynBuildProbe(np, seed)
+		return err
 	}); err != nil {
 		return err
 	}
@@ -138,19 +137,13 @@ func (rc *runCtx) runHybridDyn() error {
 	}
 	for _, group := range rc.dynJoinGroups(spilledParts, rFiles, np) {
 		var rsrc, ssrc []fileAt
-		label := ""
-		for i, p := range group {
+		for _, p := range group {
 			rsrc = append(rsrc, fileAt{site: rc.dynHome(p, np), f: rFiles[p]})
 			if sFiles[p].Len() > 0 {
 				ssrc = append(ssrc, fileAt{site: rc.dynHome(p, np), f: sFiles[p]})
 			}
-			if i == 0 {
-				label = fmt.Sprintf("partition %d", p+1)
-			} else {
-				label += fmt.Sprintf("+%d", p+1)
-			}
 		}
-		if err := rc.hashJoinStreams(label, group[0], rsrc, ssrc, seed, 0); err != nil {
+		if err := rc.hashJoin(groupLabel("partition", group), group[0], rsrc, ssrc, seed, 0, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -160,10 +153,14 @@ func (rc *runCtx) runHybridDyn() error {
 // dynJoinGroups packs spilled partitions into join groups, largest
 // partition first (ties to the lowest id). Partition p's tuples all join at
 // site p/per (the split-table-aligned index), so packing tracks a per-site
-// load vector against the site's table capacity — exactly bucket tuning's
-// fit rule. A partition too big alone gets its own group; the join's
-// overflow machinery absorbs the excess.
-func (rc *runCtx) dynJoinGroups(parts []int, rFiles map[int]*wiss.File, np int) [][]int {
+// load vector against the site's table capacity, like bucket tuning. A
+// partition too big alone gets its own group; the join's overflow machinery
+// absorbs the excess. Unlike bucketGroups, a fit checks only the new
+// partition's own site, so a partition may join a group that an oversized
+// partition overloads at another site. Both rules shape simulated cost
+// (TestCostFingerprint's tuned-skew Grace and mis-estimated hybrid-dyn
+// cells move under either one alone), so the two packers stay separate.
+func (rc *runCtx) dynJoinGroups(parts []int, rFiles []*wiss.File, np int) [][]int {
 	per := rc.dynPer(np)
 	capBytes := rc.tableCap()
 	nj := len(rc.joinSites)
@@ -230,31 +227,55 @@ func (rc *runCtx) dynPartitions() int {
 	return per * nj
 }
 
+// makePartitionFiles creates one temporary file per dynamic-Hybrid
+// partition, each at the partition's home disk site. Unlike bucket files,
+// a partition is not horizontally fragmented: spills are rare whole-table
+// demotions, so each partition lives on one disk.
+func (rc *runCtx) makePartitionFiles(name string, np int) ([]*wiss.File, error) {
+	files := make([]*wiss.File, np)
+	for p := range files {
+		f, err := rc.newTempFile(fmt.Sprintf("%s.p%d", name, p), rc.dynHome(p, np))
+		if err != nil {
+			return nil, err
+		}
+		files[p] = f
+	}
+	return files, nil
+}
+
+// dynSinks builds the per-home-disk sinks appending batches tagged
+// tagBase+partition to the partition files. Spill writes are forming
+// writes: they count toward the paper's local-write fraction like bucket
+// writes do.
+func (rc *runCtx) dynSinks(tagBase int, files []*wiss.File) map[int]*fileSink {
+	np := len(files)
+	parts := make([]int, np)
+	for p := range parts {
+		parts[p] = p
+	}
+	return rc.homedSinks(tagBase, files, parts, func(p int) int { return rc.dynHome(p, np) }, true)
+}
+
 // dynBuildProbe runs the adaptive build, the barrier-time resurrection, and
-// the overlapped partition-S/probe pass. The partition files and the final
-// spill state are handed back through the pointers so runHybridDyn's
-// disk-join phases read the state of the attempt that actually completed.
-func (rc *runCtx) dynBuildProbe(np int, seed uint64,
-	rOut, sOut *map[int]*wiss.File, spOut *[]bool) error {
-	rFiles, err := rc.makePartitionFiles("hybriddyn.r", np)
-	if err != nil {
-		return err
+// the overlapped partition-S/probe pass. It returns the partition files and
+// the final spill state of the attempt, which runHybridDyn's disk-join
+// phases read.
+func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.File, spilled []bool, err error) {
+	if rFiles, err = rc.makePartitionFiles("hybriddyn.r", np); err != nil {
+		return nil, nil, nil, err
 	}
-	sFiles, err := rc.makePartitionFiles("hybriddyn.s", np)
-	if err != nil {
-		return err
+	if sFiles, err = rc.makePartitionFiles("hybriddyn.s", np); err != nil {
+		return nil, nil, nil, err
 	}
-	spilled := make([]bool, np)
+	spilled = make([]bool, np)
 	// poisoned marks the (vanishingly rare) partition holding a tuple whose
 	// overflow key saturates the cutoff domain; such a partition must stay
 	// spilled because its tuples cannot re-enter a cutoff-guarded table.
 	poisoned := make([]bool, np)
-	*rOut, *sOut, *spOut = rFiles, sFiles, spilled
 
-	var filters map[int]*bitfilter.Filter
-	if rc.spec.BitFilter {
-		filters = make(map[int]*bitfilter.Filter, len(rc.joinSites))
-	}
+	// The bit filters route the probe like a join set without tables or
+	// cutoffs: resident partitions never divert to overflow files.
+	js := &joinSet{filters: rc.siteFilters()}
 	states := make(map[int]*dynSite, len(rc.joinSites))
 	// Tables are allocated generously — the largest budget a swing can ever
 	// grant, plus slack — so the histogram/cutoff eviction machinery never
@@ -263,9 +284,6 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 	gencap := int64(dynMaxFactor*float64(rc.tableCap())) + 64*tuple.Bytes
 	for _, j := range rc.joinSites {
 		states[j] = &dynSite{tables: make(map[int]*gamma.HashTable)}
-		if filters != nil {
-			filters[j] = bitfilter.New(rc.filterBits)
-		}
 	}
 	for p := 0; p < np; p++ {
 		st := states[rc.dynOwner(p, np)]
@@ -278,37 +296,18 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 	// ones included: the owner observes true partition sizes (the whole
 	// point of deferring the spill) and its bit filter covers the entire
 	// inner relation, so filtering spilled outer tuples stays safe.
-	build := phaseSpec{
-		name:    "dyn partition R + build",
-		end:     gamma.EndOpts{SplitEntries: np},
-		ops:     opLabels{produce: "scan", consume: "build + adapt", write: "spill write"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-		write:   map[int]writerFn{},
-	}
-	for _, s := range rc.spec.R.FragmentSites() {
-		f := rc.spec.R.Fragments[s]
-		build.produce[s] = append(build.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, rc.spec.RPred, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.RAttr), seed)
-				snd.Send(rc.dynOwner(rc.dynPart(h, np), np), tagProbe, t, h)
-				return true
-			})
-		})
-	}
+	build := newPhase("dyn partition R + build",
+		opLabels{produce: "scan", consume: "build + adapt", write: "spill write"}, -1)
+	build.end = gamma.EndOpts{SplitEntries: np}
+	src, attr, pr := rc.relSide(true)
+	rc.scanRoute(build.produce, src, attr, pr, seed, false, func(_ *cost.Acct, h uint64) (int, int) {
+		return rc.dynOwner(rc.dynPart(h, np), np), tagProbe
+	})
 	phaseOrd := len(rc.q.Phases)
 	for _, j := range rc.joinSites {
 		j := j
 		build.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			st := states[j]
-			var flt *bitfilter.Filter
-			if filters != nil {
-				flt = filters[j]
-			}
 			// The admission-time lease may already be under pressure: the
 			// registry's per-phase factor seeds the budget, so a shrink is
 			// a revocation the build absorbs from the first tuple on.
@@ -319,10 +318,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 				}
 				for i := range b.Tuples {
 					h := b.Hashes[i]
-					if flt != nil {
-						a.AddCPU(rc.m.FilterBit)
-						flt.Set(h)
-					}
+					rc.filterSet(js.filters, a, j, h)
 					p := rc.dynPart(h, np)
 					if spilled[p] {
 						snd.Send(rc.dynHome(p, np), tagDynRBase+p, b.Tuples[i], h)
@@ -352,9 +348,9 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 			}
 		}
 	}
-	rc.addDynFileWriters(build.write, rFiles, tagDynRBase, np)
+	rc.addSinkWriters(build.write, rc.dynSinks(tagDynRBase, rFiles))
 	if err := rc.runPhase(build); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 
 	// ---- barrier: resurrect spilled partitions into reclaimed headroom ----
@@ -392,7 +388,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 	}
 	if nRes > 0 {
 		if err := rc.dynResurrect(np, seed, states, resurrect, rFiles); err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 		for _, home := range sortedKeys(resurrect) {
 			for _, p := range resurrect[home] {
@@ -402,55 +398,23 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 	}
 
 	// ---- phase: partition S, probing the resident partitions ----
-	probe := phaseSpec{
-		name:    "dyn partition S + probe",
-		end:     gamma.EndOpts{SplitEntries: np},
-		ops:     opLabels{produce: "scan", consume: "split + probe", write: "store"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-		write:   map[int]writerFn{},
-	}
-	for _, s := range rc.spec.S.FragmentSites() {
-		f := rc.spec.S.Fragments[s]
-		probe.produce[s] = append(probe.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			if filters != nil {
-				a.AddCPU(rc.m.PacketProto) // receive the shared filter packet
-			}
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, rc.spec.SPred, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.SAttr), seed)
-				p := rc.dynPart(h, np)
-				if spilled[p] {
-					// The owner's filter saw the whole inner, so dropping
-					// disk-bound outer tuples is safe — but like static
-					// Hybrid's bucket forming it is the FilterForming
-					// extension, not the base algorithm.
-					if filters != nil && rc.spec.FilterForming {
-						a.AddCPU(rc.m.FilterBit)
-						if !filters[rc.dynOwner(p, np)].Test(h) {
-							rc.filterDropped.Add(1)
-							return true
-						}
-					}
-					snd.Send(rc.dynHome(p, np), tagDynSBase+p, t, h)
-					return true
-				}
-				j := rc.dynOwner(p, np)
-				if filters != nil {
-					a.AddCPU(rc.m.FilterBit)
-					if !filters[j].Test(h) {
-						rc.filterDropped.Add(1)
-						return true
-					}
-				}
-				snd.Send(j, tagProbe, t, h)
-				return true
-			})
-		})
-	}
+	probe := newPhase("dyn partition S + probe",
+		opLabels{produce: "scan", consume: "split + probe", write: "store"}, -1)
+	probe.end = gamma.EndOpts{SplitEntries: np}
+	src, attr, pr = rc.relSide(false)
+	rc.scanRoute(probe.produce, src, attr, pr, seed, js.filters != nil, func(a *cost.Acct, h uint64) (int, int) {
+		p := rc.dynPart(h, np)
+		if !spilled[p] {
+			return rc.probeDest(js, a, rc.dynOwner(p, np), h)
+		}
+		// The owner's filter saw the whole inner, so dropping disk-bound
+		// outer tuples is safe — but like static Hybrid's bucket forming
+		// it is the FilterForming extension, not the base algorithm.
+		if rc.spec.FilterForming && !rc.filterPass(js.filters, a, rc.dynOwner(p, np), h) {
+			return -1, 0
+		}
+		return rc.dynHome(p, np), tagDynSBase + p
+	})
 	for _, j := range rc.joinSites {
 		j := j
 		probe.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
@@ -476,15 +440,10 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 			}
 		}
 	}
-	rc.addDynFileConsumers(probe.consume, sFiles, tagDynSBase, np)
-	for _, ds := range rc.diskSites {
-		ds := ds
-		probe.write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
-			rc.storeWriter(ds, a, batches)
-		}
-	}
+	rc.addSinkConsumers(probe.consume, rc.dynSinks(tagDynSBase, sFiles))
+	rc.addStoreWriters(probe.write)
 	if err := rc.runPhase(probe); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	// The probe barrier has passed, so no worker still holds pointers into
 	// the per-partition tables; the disk-join phases that follow read only
@@ -495,7 +454,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 			tbl.Release()
 		}
 	}
-	return nil
+	return rFiles, sFiles, spilled, nil
 }
 
 // dynInitBudget seeds a site's budget from the fault registry's per-phase
@@ -582,25 +541,14 @@ func (rc *runCtx) dynSpill(a *cost.Acct, snd *netsim.Sender, st *dynSite, p, np 
 // dynResurrect re-reads the chosen partitions from their home disks and
 // rebuilds their hash tables at the owning join sites.
 func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
-	resurrect map[int][]int, rFiles map[int]*wiss.File) error {
-	res := phaseSpec{
-		name:    "dyn resurrect",
-		ops:     opLabels{produce: "partition scan", consume: "rebuild"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
+	resurrect map[int][]int, rFiles []*wiss.File) error {
+	res := newPhase("dyn resurrect", opLabels{produce: "partition scan", consume: "rebuild"}, -1)
 	for _, ds := range sortedKeys(resurrect) {
 		for _, p := range resurrect[ds] {
-			f := rFiles[p]
+			// The scan recomputes each tuple's routing hash.
 			owner := rc.dynOwner(p, np)
-			res.produce[ds] = append(res.produce[ds], func(a *cost.Acct, snd *netsim.Sender) {
-				f.Scan(a, func(t *tuple.Tuple) bool {
-					a.AddCPU(rc.m.Hash) // recompute the routing hash
-					h := split.Hash(t.Int(rc.spec.RAttr), seed)
-					snd.Send(owner, tagProbe, t, h)
-					return true
-				})
-			})
+			rc.scanRoute(res.produce, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, seed, false,
+				func(_ *cost.Acct, _ uint64) (int, int) { return owner, tagProbe })
 		}
 	}
 	for _, j := range rc.joinSites {
@@ -627,77 +575,4 @@ func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
 		}
 	}
 	return rc.runPhase(res)
-}
-
-// dynHomes groups partitions by their home disk site, ascending.
-func (rc *runCtx) dynHomes(np int) map[int][]int {
-	byHome := make(map[int][]int)
-	for p := 0; p < np; p++ {
-		byHome[rc.dynHome(p, np)] = append(byHome[rc.dynHome(p, np)], p)
-	}
-	return byHome
-}
-
-// addDynFileWriters installs one stage-2 writer per disk site that appends
-// batches tagged tagBase+partition to that partition's file — the spill
-// path, fed by the build consumers. Spill writes are forming writes: they
-// count toward the paper's local-write fraction like bucket writes do.
-func (rc *runCtx) addDynFileWriters(write map[int]writerFn, files map[int]*wiss.File, tagBase, np int) {
-	byHome := rc.dynHomes(np)
-	for _, ds := range rc.diskSites {
-		homed := byHome[ds]
-		if len(homed) == 0 {
-			continue
-		}
-		write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
-			for _, b := range batches {
-				if b.Tag < tagBase || b.Tag >= tagBase+np {
-					continue
-				}
-				files[b.Tag-tagBase].AppendBatch(a, b.Tuples)
-				if b.Local {
-					rc.mFormLocal.Add(int64(len(b.Tuples)))
-				} else {
-					rc.mFormRemote.Add(int64(len(b.Tuples)))
-				}
-			}
-			for _, p := range homed {
-				files[p].Flush(a)
-			}
-		}
-	}
-}
-
-// addDynFileConsumers extends (or installs) stage-1 consumers at the disk
-// sites so batches tagged tagBase+partition — sent straight from the
-// producing sites — append to the partition's file. A site that already has
-// a consumer (a join site in the local configuration) dispatches on the tag.
-func (rc *runCtx) addDynFileConsumers(consume map[int]consumerFn, files map[int]*wiss.File, tagBase, np int) {
-	byHome := rc.dynHomes(np)
-	for _, ds := range rc.diskSites {
-		homed := byHome[ds]
-		if len(homed) == 0 {
-			continue
-		}
-		prev := consume[ds]
-		consume[ds] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			for _, b := range batches {
-				if b.Tag < tagBase || b.Tag >= tagBase+np {
-					continue
-				}
-				files[b.Tag-tagBase].AppendBatch(a, b.Tuples)
-				if b.Local {
-					rc.mFormLocal.Add(int64(len(b.Tuples)))
-				} else {
-					rc.mFormRemote.Add(int64(len(b.Tuples)))
-				}
-			}
-			for _, p := range homed {
-				files[p].Flush(a)
-			}
-			if prev != nil {
-				prev(a, snd, batches)
-			}
-		}
-	}
 }

@@ -42,7 +42,6 @@ func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 	if len(joinSites) == 0 {
 		joinSites = c.JoinSites()
 	}
-	applyConfig(c.Net)
 	rc := &runCtx{
 		c:          c,
 		q:          c.NewQuery(),

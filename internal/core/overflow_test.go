@@ -8,7 +8,7 @@ import (
 )
 
 // TestRecursiveOverflowResolution drives the Simple hash-join's recursive
-// overflow machinery (hashJoinStreams: each level rehashes the previous
+// overflow machinery (hashJoin: each level rehashes the previous
 // level's overflow files with seed+1) through multiple levels by giving it
 // a fraction of the memory it needs, and checks both the join result and
 // the accounting that the levels leave behind.

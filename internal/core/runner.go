@@ -183,7 +183,6 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	if rc.memPerSite < int64(tuple.Bytes) {
 		rc.memPerSite = tuple.Bytes
 	}
-	applyConfig(c.Net)
 	rc.attachTrace(tr)
 	if spec.BitFilter {
 		rc.filterBits = filterBits(c.Model, len(js))

@@ -6,13 +6,6 @@ package core
 // histogram/cutoff mechanism, and the overflow partitions are joined
 // recursively with a new hash function per level.
 func (rc *runCtx) runSimple() error {
-	var rsrc, ssrc []fileAt
-	for _, s := range rc.spec.R.FragmentSites() {
-		rsrc = append(rsrc, fileAt{site: s, f: rc.spec.R.Fragments[s]})
-	}
-	for _, s := range rc.spec.S.FragmentSites() {
-		ssrc = append(ssrc, fileAt{site: s, f: rc.spec.S.Fragments[s]})
-	}
-	return rc.hashJoinStreamsPred("simple", -1, rsrc, ssrc, rc.spec.HashSeed, 0,
+	return rc.hashJoin("simple", -1, relSources(rc.spec.R), relSources(rc.spec.S), rc.spec.HashSeed, 0,
 		rc.spec.RPred, rc.spec.SPred)
 }

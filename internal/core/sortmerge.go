@@ -8,7 +8,6 @@ import (
 	"gammajoin/internal/cost"
 	"gammajoin/internal/gamma"
 	"gammajoin/internal/netsim"
-	"gammajoin/internal/pred"
 	"gammajoin/internal/split"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wiss"
@@ -38,10 +37,7 @@ func (rc *runCtx) runSortMerge() error {
 	srtR := make(map[int]*wiss.File, len(sites))
 	tmpS := make(map[int]*wiss.File, len(sites))
 	srtS := make(map[int]*wiss.File, len(sites))
-	var filters map[int]*bitfilter.Filter
-	if rc.spec.BitFilter {
-		filters = make(map[int]*bitfilter.Filter, len(sites))
-	}
+	filters := rc.siteFilters()
 	var err error
 	for _, s := range sites {
 		if tmpR[s], err = rc.newTempFile("sm.tmpR", s); err != nil {
@@ -56,9 +52,6 @@ func (rc *runCtx) runSortMerge() error {
 		if srtS[s], err = rc.newTempFile("sm.srtS", s); err != nil {
 			return err
 		}
-		if filters != nil {
-			filters[s] = bitfilter.New(rc.filterBits)
-		}
 	}
 
 	// Each of sort-merge's five phases is its own redo-able unit: every
@@ -72,7 +65,7 @@ func (rc *runCtx) runSortMerge() error {
 
 	// Partition R across the join sites, building per-site bit filters.
 	if err := rc.runUnit(func() error {
-		return rc.smPartition("partition R", rc.spec.R, rc.spec.RAttr, rc.spec.RPred, jt, tmpR, filters, true)
+		return rc.smPartition("partition R", true, jt, tmpR, filters)
 	}); err != nil {
 		return err
 	}
@@ -85,7 +78,7 @@ func (rc *runCtx) runSortMerge() error {
 	// Partition S; the filter eliminates non-joining tuples before they
 	// are written to disk.
 	if err := rc.runUnit(func() error {
-		return rc.smPartition("partition S", rc.spec.S, rc.spec.SAttr, rc.spec.SPred, jt, tmpS, filters, false)
+		return rc.smPartition("partition S", false, jt, tmpS, filters)
 	}); err != nil {
 		return err
 	}
@@ -117,86 +110,27 @@ func (rc *runCtx) runSortMerge() error {
 	return rc.runUnit(func() error { return rc.runPhase(merge) })
 }
 
-// smPartition redistributes one relation through the joining split table
-// into per-site temporary files. When building is true the per-site bit
-// filters are populated from the arriving tuples; otherwise arriving tuples
-// are tested against the local filter and dropped on a miss.
-func (rc *runCtx) smPartition(name string, rel *gamma.Relation, attr int, p pred.Pred, jt *split.JoinTable,
-	tmp map[int]*wiss.File, filters map[int]*bitfilter.Filter, building bool) error {
-	ps := phaseSpec{
-		name:    name,
-		end:     gamma.EndOpts{SplitEntries: jt.Entries()},
-		ops:     opLabels{produce: "scan", consume: "split write"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
-	for _, s := range rel.FragmentSites() {
-		f := rel.Fragments[s]
-		ps.produce[s] = append(ps.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, p, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(attr), rc.spec.HashSeed)
-				snd.Send(jt.Lookup(h), tagProbe, t, h)
-				return true
-			})
-		})
-	}
+// smPartition redistributes the inner (R) or outer (S) relation through
+// the joining split table into per-site temporary files. The inner pass
+// populates the per-site bit filters from the arriving tuples; the outer
+// pass tests arriving tuples against the local filter and drops misses.
+func (rc *runCtx) smPartition(name string, inner bool, jt *split.JoinTable,
+	tmp map[int]*wiss.File, filters []*bitfilter.Filter) error {
+	ps := newPhase(name, opLabels{produce: "scan", consume: "split write"}, -1)
+	ps.end = gamma.EndOpts{SplitEntries: jt.Entries()}
+	src, attr, p := rc.relSide(inner)
+	rc.scanRoute(ps.produce, src, attr, p, rc.spec.HashSeed, false, func(_ *cost.Acct, h uint64) (int, int) {
+		return jt.Lookup(h), tagProbe
+	})
 	for _, s := range sortedKeys(tmp) {
-		s := s
-		ps.consume[s] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			f := tmp[s]
-			var flt *bitfilter.Filter
-			if filters != nil {
-				flt = filters[s]
-			}
-			var dropped int64
-			for _, b := range batches {
-				if b.Tag != tagProbe {
-					continue
-				}
-				if flt == nil {
-					f.AppendBatch(a, b.Tuples)
-					continue
-				}
-				for i := range b.Tuples {
-					a.AddCPU(rc.m.FilterBit)
-					if building {
-						flt.Set(b.Hashes[i])
-					} else if !flt.Test(b.Hashes[i]) {
-						dropped++
-						continue
-					}
-					f.Append(a, b.Tuples[i])
-				}
-			}
-			if dropped > 0 {
-				rc.filterDropped.Add(dropped)
-			}
-			f.Flush(a)
-			if b := b2Local(batches); b.local+b.remote > 0 {
-				rc.mFormLocal.Add(b.local)
-				rc.mFormRemote.Add(b.remote)
-			}
+		sk := &fileSink{base: tagProbe, slots: []*wiss.File{tmp[s]}, flush: []*wiss.File{tmp[s]},
+			forming: true, building: inner}
+		if filters != nil {
+			sk.filters = []*bitfilter.Filter{filters[s]}
 		}
+		ps.consume[s] = rc.sinkConsumer(sk)
 	}
 	return rc.runPhase(ps)
-}
-
-type localRemote struct{ local, remote int64 }
-
-func b2Local(batches []*netsim.Batch) localRemote {
-	var lr localRemote
-	for _, b := range batches {
-		if b.Local {
-			lr.local += int64(len(b.Tuples))
-		} else {
-			lr.remote += int64(len(b.Tuples))
-		}
-	}
-	return lr
 }
 
 // sortPhase sorts every site's temporary file in parallel and records the

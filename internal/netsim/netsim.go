@@ -12,7 +12,7 @@
 // Runs exist purely to cut wall-clock overhead (channel operations,
 // per-packet allocation); they are invisible to the simulated cost model,
 // and RunLength 1 reproduces the legacy packet-at-a-time delivery bit for
-// bit (see core.Config.BatchSize).
+// bit (see SetRunLength).
 package netsim
 
 import (
@@ -99,7 +99,8 @@ func (n *Network) SetFaults(r *fault.Registry) { n.faults = r }
 // SetRunLength sets the delivery-run size in packets. Length 1 restores the
 // legacy packet-at-a-time delivery; larger lengths only change how many
 // packets travel per exchange operation, never what is charged. Call
-// between queries (core applies core.Config.BatchSize here).
+// between queries; the serial-vs-batched equivalence tests set it on each
+// cluster they build.
 func (n *Network) SetRunLength(packets int) {
 	if packets < 1 {
 		packets = 1
