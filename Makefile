@@ -8,9 +8,9 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# vet runs the stock go vet plus all seven gammavet analyzers repo-wide —
-# determinism, costcharge, faultpoint, spancheck, unitflow, leakcheck,
-# wallclock (docs/STATIC_ANALYSIS.md). Any diagnostic fails the build.
+# vet runs the stock go vet plus all six gammavet analyzers repo-wide —
+# determinism, costcharge, faultpoint, unitflow, leakcheck, wallclock
+# (docs/STATIC_ANALYSIS.md). Any diagnostic fails the build.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/gammavet ./...

@@ -246,24 +246,6 @@ func printRecovery(h *experiments.Harness) {
 		r.WastedWork.Seconds(), r.DetectionDelay.Seconds(), r.MirrorReads)
 }
 
-// parseAlg maps a flag value to an algorithm.
-func parseAlg(name string) (core.Algorithm, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "sort-merge", "sortmerge":
-		return core.SortMerge, nil
-	case "simple":
-		return core.Simple, nil
-	case "grace":
-		return core.Grace, nil
-	case "hybrid":
-		return core.Hybrid, nil
-	case "hybrid-dyn", "hybriddyn", "dynamic":
-		return core.HybridDyn, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want sort-merge, simple, grace, hybrid, or hybrid-dyn)", name)
-	}
-}
-
 // overloadFlags bundles the -mpl overload-control flags.
 type overloadFlags struct {
 	deadlineMs  float64
@@ -402,7 +384,7 @@ func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int
 // runSingle executes one joinABprime join on the local configuration and
 // optionally exports its timeline, metric samples, and gammaprof profile.
 func runSingle(h *experiments.Harness, algName string, ratio float64, traceOut, metricsOut, profOut string) error {
-	a, err := parseAlg(algName)
+	a, err := core.ParseAlgorithm(algName)
 	if err != nil {
 		return err
 	}

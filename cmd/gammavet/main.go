@@ -13,10 +13,9 @@
 // (internal/core, internal/netsim, internal/cost, internal/disk,
 // internal/fault, internal/trace by default), costcharge to the execution
 // engine (internal/core), faultpoint to every package that could plausibly
-// touch the fault registry, spancheck to the phase machinery
-// (internal/core), unitflow to every package that handles cost units,
-// leakcheck to the packages that launch goroutines, and wallclock to the
-// whole module. Packages outside all scopes are skipped. Exit status is
+// touch the fault registry, unitflow to every package that handles cost
+// units, leakcheck to the packages that launch goroutines, and wallclock to
+// the whole module. Packages outside all scopes are skipped. Exit status is
 // 1 when any diagnostic is reported and 2 on usage or load errors.
 package main
 
@@ -41,8 +40,6 @@ func main() {
 		faultpointPkgs = flag.String("faultpoint-pkgs",
 			"internal/core,internal/disk,internal/netsim,internal/gamma,internal/wiss,internal/experiments",
 			"comma-separated package path suffixes checked by the faultpoint analyzer")
-		spancheckPkgs = flag.String("spancheck-pkgs", "internal/core",
-			"comma-separated package path suffixes checked by the spancheck analyzer")
 		unitflowPkgs = flag.String("unitflow-pkgs",
 			"internal/core,internal/netsim,internal/disk,internal/wiss,internal/gamma,internal/sched,internal/trace,internal/experiments,cmd/gammabench",
 			"comma-separated package path suffixes checked by the unitflow analyzer")
@@ -66,7 +63,6 @@ func main() {
 		analysis.Determinism: splitList(*determinismPkgs),
 		analysis.CostCharge:  splitList(*costchargePkgs),
 		analysis.FaultPoint:  splitList(*faultpointPkgs),
-		analysis.SpanCheck:   splitList(*spancheckPkgs),
 		analysis.UnitFlow:    splitList(*unitflowPkgs),
 		analysis.LeakCheck:   splitList(*leakcheckPkgs),
 		analysis.WallClock:   splitList(*wallclockPkgs),
@@ -86,7 +82,7 @@ func main() {
 		}
 		var todo []*analysis.Analyzer
 		for _, a := range []*analysis.Analyzer{
-			analysis.Determinism, analysis.CostCharge, analysis.FaultPoint, analysis.SpanCheck,
+			analysis.Determinism, analysis.CostCharge, analysis.FaultPoint,
 			analysis.UnitFlow, analysis.LeakCheck, analysis.WallClock,
 		} {
 			if inScope(path, scopes[a]) {

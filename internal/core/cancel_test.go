@@ -11,7 +11,7 @@ import (
 	"gammajoin/internal/tuple"
 )
 
-// Mid-join cancellation (Spec.DeadlineNs, Spec.Cancel) must unwind as
+// Mid-join cancellation (Spec.DeadlineNs) must unwind as
 // cleanly as an error: every phase worker joined, every temp wiss file
 // dropped, every memory lease released. These tests drive each algorithm
 // into a deadline cancel that lands mid-run and assert the teardown, under
@@ -79,38 +79,6 @@ func TestNoTempFilesAfterCancel(t *testing.T) {
 			t.Fatalf("%v: %d temp files live after cancel: %v", alg, len(live), live)
 		}
 	}
-}
-
-// TestExternalCancelToken: a pre-fired token cancels at the first phase
-// barrier with ErrQueryCanceled (not the deadline error), returns no
-// report, and leaks neither goroutines nor temp files.
-func TestExternalCancelToken(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	c := gamma.NewLocal(4, nil)
-	f := mkFixture(t, c, 2000, gamma.HashPart, tuple.Unique1)
-	for _, alg := range allAlgs {
-		tok := &CancelToken{}
-		tok.Cancel()
-		spec := Spec{
-			Alg: alg, R: f.r, S: f.s,
-			RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-			MemRatio: 0.5, Cancel: tok,
-		}
-		rep, err := Run(f.c, spec)
-		if err == nil || !errors.Is(err, ErrQueryCanceled) {
-			t.Fatalf("%v: pre-fired token: got %v, want ErrQueryCanceled", alg, err)
-		}
-		if errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("%v: external cancel misreported as deadline: %v", alg, err)
-		}
-		if rep != nil {
-			t.Fatalf("%v: canceled run returned a report", alg)
-		}
-		if live := f.c.LiveTempFiles(); len(live) != 0 {
-			t.Fatalf("%v: temp files live after token cancel: %v", alg, live)
-		}
-	}
-	quiesce(t, baseline)
 }
 
 // TestDeadlineBeyondResponseCompletes: a deadline the query beats must not

@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"gammajoin/internal/bitfilter"
@@ -70,6 +70,26 @@ func (a Algorithm) String() string {
 		return "hybrid-dyn"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
+	}
+}
+
+// ParseAlgorithm maps an algorithm name to its Algorithm: every String()
+// form plus the aliases sortmerge/sm, hybriddyn and dynamic, with case and
+// surrounding space ignored.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "sort-merge", "sortmerge", "sm":
+		return SortMerge, nil
+	case "simple":
+		return Simple, nil
+	case "grace":
+		return Grace, nil
+	case "hybrid":
+		return Hybrid, nil
+	case "hybrid-dyn", "hybriddyn", "dynamic":
+		return HybridDyn, nil
+	default:
+		return 0, fmt.Errorf("unknown algorithm %q (want sort-merge, simple, grace, hybrid, or hybrid-dyn)", name)
 	}
 }
 
@@ -142,11 +162,6 @@ type Spec struct {
 	// report (tests and small examples only).
 	CollectResults bool
 
-	// HashSeed is the base hash-function seed; 0 is the system-wide
-	// function used when relations were loaded, so joins on a
-	// hash-partitioning attribute short-circuit the network.
-	HashSeed uint64
-
 	// QueryID tags this execution with a workload query id (internal/sched).
 	// It flows into the trace (one process track per query) and prefixes
 	// temp-file names so concurrent queries of the same shape never collide
@@ -161,29 +176,7 @@ type Spec struct {
 	// dropped, spans closed, a "cancel" instant on the timeline) and
 	// returns ErrDeadlineExceeded. 0 means no deadline.
 	DeadlineNs cost.SimNs
-
-	// Cancel, when non-nil, is an external mid-join cancel signal. Phase
-	// workers poll it between work items, so an async Cancel() stops the
-	// join mid-phase; the error surfaces at the phase barrier as
-	// ErrQueryCanceled. Unlike DeadlineNs, the *timing* of an external
-	// cancel is inherently nondeterministic — canceled runs return no
-	// report, so nothing byte-compared ever observes the difference.
-	Cancel *CancelToken
 }
-
-// CancelToken is a level-triggered cancel signal. The zero value is ready to
-// use; a nil *CancelToken never fires.
-type CancelToken struct{ fired atomic.Bool }
-
-// Cancel trips the token. Idempotent and safe from any goroutine.
-func (t *CancelToken) Cancel() {
-	if t != nil {
-		t.fired.Store(true)
-	}
-}
-
-// Canceled reports whether Cancel has been called.
-func (t *CancelToken) Canceled() bool { return t != nil && t.fired.Load() }
 
 // Report describes one executed join.
 type Report struct {
@@ -195,7 +188,7 @@ type Report struct {
 	Results     []tuple.Joined // only when Spec.CollectResults
 
 	// ResultSum is the order-independent checksum of the result set: the
-	// wrapping uint64 sum of tuple.Joined.Checksum over every emitted
+	// wrapping uint64 sum of tuple.PairChecksum over every emitted
 	// result. Two executions of the same join — serial or interleaved,
 	// different algorithms, different memory grants — must agree on it,
 	// which is what the workload engine's equivalence tests assert.
@@ -285,11 +278,9 @@ func (r *Report) FormingLocalFrac() float64 { return r.Forming.LocalFraction() }
 // can errors.Is(err, ErrSiteFailed) without knowing the concrete type.
 var ErrSiteFailed = errors.New("core: site failed")
 
-// ErrQueryCanceled is the sentinel every cancellation path wraps: external
-// CancelToken fires, spec deadlines, and (via fault.ErrRetryBudgetExhausted
-// remaining inspectable separately) budget escalations all leave Run with
-// errors.Is(err, ErrQueryCanceled) == true for the first two. The workload
-// engine sheds on it instead of failing the workload.
+// ErrQueryCanceled is the sentinel every cancellation wraps; today the only
+// one is a spec deadline (ErrDeadlineExceeded). A retry-budget escalation
+// surfaces separately as fault.ErrRetryBudgetExhausted.
 var ErrQueryCanceled = errors.New("core: query canceled")
 
 // ErrDeadlineExceeded marks a deadline-triggered cancellation; it wraps

@@ -67,6 +67,28 @@ func refJoinCount(r, s []tuple.Tuple, rAttr, sAttr int) int64 {
 
 var allAlgs = []Algorithm{SortMerge, Simple, Grace, Hybrid, HybridDyn}
 
+// TestParseAlgorithm round-trips every Algorithm's String() form through
+// ParseAlgorithm and checks the aliases and the error path.
+func TestParseAlgorithm(t *testing.T) {
+	for _, alg := range allAlgs {
+		got, err := ParseAlgorithm(alg.String())
+		if err != nil || got != alg {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", alg.String(), got, err, alg)
+		}
+	}
+	for name, want := range map[string]Algorithm{
+		"sortmerge": SortMerge, "SM": SortMerge, " Hybrid ": Hybrid,
+		"hybriddyn": HybridDyn, "dynamic": HybridDyn,
+	} {
+		if got, err := ParseAlgorithm(name); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseAlgorithm("warp"); err == nil {
+		t.Error("ParseAlgorithm accepted an unknown name")
+	}
+}
+
 func TestAllAlgorithmsAgreeFullMemory(t *testing.T) {
 	c := gamma.NewLocal(8, nil)
 	f := mkFixture(t, c, 4000, gamma.HashPart, tuple.Unique1)

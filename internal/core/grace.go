@@ -70,7 +70,7 @@ func (rc *runCtx) runGrace() error {
 			rsrc = append(rsrc, rc.bucketSources(rb, b)...)
 			ssrc = append(ssrc, rc.bucketSources(sb, b)...)
 		}
-		if err := rc.hashJoin(groupLabel("bucket", group), group[0], rsrc, ssrc, rc.spec.HashSeed, 0, nil, nil); err != nil {
+		if err := rc.hashJoin(groupLabel("bucket", group), group[0], rsrc, ssrc, 0, 0, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -225,7 +225,7 @@ func (rc *runCtx) partitionPhase(ps phaseSpec, inner bool, pt *split.PartTable, 
 	formFilters []map[int]*bitfilter.Filter, js *joinSet) error {
 	ps.end = gamma.EndOpts{SplitEntries: pt.Entries()}
 	src, attr, p := rc.relSide(inner)
-	rc.scanRoute(ps.produce, src, attr, p, rc.spec.HashSeed, js != nil && !inner && js.filters != nil,
+	rc.scanRoute(ps.produce, src, attr, p, 0, js != nil && !inner && js.filters != nil,
 		func(a *cost.Acct, h uint64) (int, int) {
 			b, dst := pt.Lookup(h)
 			switch {

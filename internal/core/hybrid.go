@@ -18,7 +18,6 @@ import (
 func (rc *runCtx) runHybrid() error {
 	nb := rc.optimizerBuckets(true)
 	rc.buckets = nb
-	seed := rc.spec.HashSeed
 
 	// The two partitioning phases are ONE redo-able unit: bucket 1 lives
 	// only in the join sites' memories between them, so a crash before the
@@ -43,7 +42,7 @@ func (rc *runCtx) runHybrid() error {
 	for b := 1; b < nb; b++ {
 		rsrc := rc.bucketSources(rb, b)
 		ssrc := rc.bucketSources(sb, b)
-		if err := rc.hashJoin(fmt.Sprintf("bucket %d", b+1), b, rsrc, ssrc, seed, 0, nil, nil); err != nil {
+		if err := rc.hashJoin(fmt.Sprintf("bucket %d", b+1), b, rsrc, ssrc, 0, 0, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -54,7 +53,7 @@ func (rc *runCtx) runHybrid() error {
 	sites := append([]int(nil), js.sites...)
 	sort.Ints(sites)
 	if rover, sover := js.overflowSources(rc, sites); len(rover) > 0 {
-		return rc.hashJoin("bucket 1", 0, rover, sover, seed+1, 1, nil, nil)
+		return rc.hashJoin("bucket 1", 0, rover, sover, 1, 1, nil, nil)
 	}
 	return nil
 }

@@ -103,7 +103,6 @@ func (st *dynSite) residentBytes() int64 {
 func (rc *runCtx) runHybridDyn() error {
 	np := rc.dynPartitions()
 	rc.buckets = np
-	seed := rc.spec.HashSeed
 
 	// Build + resurrect + probe are ONE redo-able unit: the resident
 	// partitions live only in the join sites' memories between the phases,
@@ -116,7 +115,7 @@ func (rc *runCtx) runHybridDyn() error {
 		spilled        []bool
 	)
 	if err := rc.runUnit(func() (err error) {
-		rFiles, sFiles, spilled, err = rc.dynBuildProbe(np, seed)
+		rFiles, sFiles, spilled, err = rc.dynBuildProbe(np)
 		return err
 	}); err != nil {
 		return err
@@ -143,7 +142,7 @@ func (rc *runCtx) runHybridDyn() error {
 				ssrc = append(ssrc, fileAt{site: rc.dynHome(p, np), f: sFiles[p]})
 			}
 		}
-		if err := rc.hashJoin(groupLabel("partition", group), group[0], rsrc, ssrc, seed, 0, nil, nil); err != nil {
+		if err := rc.hashJoin(groupLabel("partition", group), group[0], rsrc, ssrc, 0, 0, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -260,7 +259,7 @@ func (rc *runCtx) dynSinks(tagBase int, files []*wiss.File) map[int]*fileSink {
 // the overlapped partition-S/probe pass. It returns the partition files and
 // the final spill state of the attempt, which runHybridDyn's disk-join
 // phases read.
-func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.File, spilled []bool, err error) {
+func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []bool, err error) {
 	if rFiles, err = rc.makePartitionFiles("hybriddyn.r", np); err != nil {
 		return nil, nil, nil, err
 	}
@@ -300,7 +299,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 		opLabels{produce: "scan", consume: "build + adapt", write: "spill write"}, -1)
 	build.end = gamma.EndOpts{SplitEntries: np}
 	src, attr, pr := rc.relSide(true)
-	rc.scanRoute(build.produce, src, attr, pr, seed, false, func(_ *cost.Acct, h uint64) (int, int) {
+	rc.scanRoute(build.produce, src, attr, pr, 0, false, func(_ *cost.Acct, h uint64) (int, int) {
 		return rc.dynOwner(rc.dynPart(h, np), np), tagProbe
 	})
 	phaseOrd := len(rc.q.Phases)
@@ -387,7 +386,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 		sort.Ints(parts)
 	}
 	if nRes > 0 {
-		if err := rc.dynResurrect(np, seed, states, resurrect, rFiles); err != nil {
+		if err := rc.dynResurrect(np, states, resurrect, rFiles); err != nil {
 			return nil, nil, nil, err
 		}
 		for _, home := range sortedKeys(resurrect) {
@@ -402,7 +401,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 		opLabels{produce: "scan", consume: "split + probe", write: "store"}, -1)
 	probe.end = gamma.EndOpts{SplitEntries: np}
 	src, attr, pr = rc.relSide(false)
-	rc.scanRoute(probe.produce, src, attr, pr, seed, js.filters != nil, func(a *cost.Acct, h uint64) (int, int) {
+	rc.scanRoute(probe.produce, src, attr, pr, 0, js.filters != nil, func(a *cost.Acct, h uint64) (int, int) {
 		p := rc.dynPart(h, np)
 		if !spilled[p] {
 			return rc.probeDest(js, a, rc.dynOwner(p, np), h)
@@ -540,14 +539,14 @@ func (rc *runCtx) dynSpill(a *cost.Acct, snd *netsim.Sender, st *dynSite, p, np 
 
 // dynResurrect re-reads the chosen partitions from their home disks and
 // rebuilds their hash tables at the owning join sites.
-func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
+func (rc *runCtx) dynResurrect(np int, states map[int]*dynSite,
 	resurrect map[int][]int, rFiles []*wiss.File) error {
 	res := newPhase("dyn resurrect", opLabels{produce: "partition scan", consume: "rebuild"}, -1)
 	for _, ds := range sortedKeys(resurrect) {
 		for _, p := range resurrect[ds] {
 			// The scan recomputes each tuple's routing hash.
 			owner := rc.dynOwner(p, np)
-			rc.scanRoute(res.produce, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, seed, false,
+			rc.scanRoute(res.produce, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, 0, false,
 				func(_ *cost.Acct, _ uint64) (int, int) { return owner, tagProbe })
 		}
 	}

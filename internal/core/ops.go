@@ -42,9 +42,11 @@ func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 	if len(joinSites) == 0 {
 		joinSites = c.JoinSites()
 	}
+	tr := c.NewTraceRecorder()
+	tr.NewAttempt()
 	rc := &runCtx{
 		c:          c,
-		q:          c.NewQuery(),
+		q:          c.NewQuery(tr),
 		spec:       &Spec{},
 		m:          c.Model,
 		joinSites:  joinSites,
@@ -57,8 +59,6 @@ func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 		var n int64
 		rc.storeCount[ds] = &n
 	}
-	tr := c.NewTraceRecorder()
-	tr.NewAttempt()
 	rc.attachTrace(tr)
 	return rc
 }

@@ -115,14 +115,12 @@ type runCtx struct {
 	redoMark       bool          // suffix phase names with " (redo)" until the unit completes
 }
 
-// attachTrace wires the recorder into the run: the query drives its phase
-// clock, and the routing counters register their metric handles. Snapshots
-// of the (cumulative, restart-spanning) counters let report() expose only
-// this attempt's activity.
+// attachTrace registers the routing counters' metric handles on the run's
+// recorder. Snapshots of the (cumulative, restart-spanning) counters let
+// report() expose only this attempt's activity.
 func (rc *runCtx) attachTrace(tr *trace.Recorder) {
 	rc.tr = tr
 	rc.attempt = tr.Attempt()
-	rc.q.Trace = tr
 	mm := tr.Metrics()
 	rc.mFormLocal = mm.Counter("form.tuples.local")
 	rc.mFormRemote = mm.Counter("form.tuples.remote")
@@ -168,7 +166,7 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	}
 	rc := &runCtx{
 		c:           c,
-		q:           c.NewQuery(),
+		q:           c.NewQuery(tr),
 		spec:        spec,
 		m:           c.Model,
 		joinSites:   js,
@@ -421,31 +419,6 @@ func (rc *runCtx) dropTempFiles() {
 	rc.tempHandles = nil
 }
 
-// canceled reports whether this execution should stop: the external cancel
-// token fired, or the query's simulated response has reached its deadline.
-// The deadline compares against the trace recorder's virtual clock, which
-// only advances at phase barriers — so deadline cancellation is a pure
-// function of the schedule and fires at the same barrier in every run,
-// while an external Cancel() is observed between work items wherever the
-// goroutine schedule happens to be (canceled runs return no report, so
-// nothing byte-compared sees that difference).
-func (rc *runCtx) canceled() bool {
-	if rc.spec.Cancel.Canceled() {
-		return true
-	}
-	d := rc.spec.DeadlineNs
-	return d > 0 && rc.tr.Now() >= d
-}
-
-// cancelErr builds the cancellation error, preferring the deadline cause
-// when both apply. Both wrap ErrQueryCanceled.
-func (rc *runCtx) cancelErr() error {
-	if d := rc.spec.DeadlineNs; d > 0 && rc.tr.Now() >= d {
-		return fmt.Errorf("core: query %d at %v: %w", rc.spec.QueryID, rc.tr.Now().Dur(), ErrDeadlineExceeded)
-	}
-	return fmt.Errorf("core: query %d: %w", rc.spec.QueryID, ErrQueryCanceled)
-}
-
 // producerFn produces tuples into the phase's first exchange via snd.
 type producerFn func(a *cost.Acct, snd *netsim.Sender)
 
@@ -525,7 +498,7 @@ func drainSorted(net *netsim.Network, a *cost.Acct, batches []*netsim.Batch) []*
 }
 
 // sortedKeys returns m's keys in ascending site order. Phase goroutines are
-// launched through it so spawn order (and hence Phase.Acct creation order
+// launched through it so spawn order (and hence account creation order
 // and netsim sequence assignment) never depends on map iteration order.
 func sortedKeys[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
@@ -570,9 +543,11 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 	}
 	// Cancellation surfaces at the same deterministic boundary: the
 	// scheduler declines to start the next phase's operators once the
-	// deadline has passed (or an external cancel fired between phases).
-	if rc.canceled() {
-		err := rc.cancelErr()
+	// deadline has passed. The deadline compares against the recorder's
+	// virtual clock, which only advances at phase barriers, so a deadline
+	// that has not passed when a phase starts cannot pass during it.
+	if d := rc.spec.DeadlineNs; d > 0 && rc.tr.Now() >= d {
+		err := fmt.Errorf("core: query %d at %v: %w", rc.spec.QueryID, rc.tr.Now().Dur(), ErrDeadlineExceeded)
 		rc.tr.Instant(rc.joinSites[0], "cancel", fmt.Sprintf("entering %q: %v", ps.name, err))
 		return err
 	}
@@ -593,98 +568,44 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 	ex2 := rc.c.NewExchange()
 	bucket := ps.traceBucket()
 
-	// Phase workers run on the cluster's persistent per-site pool rather
-	// than fresh goroutines: tasks are submitted in sortedKeys order, so
-	// Phase.Acct creation order and netsim sequence assignment stay exactly
-	// as before; the pool only changes which OS-level goroutine hosts the
-	// work.
-	var writers sync.WaitGroup
+	// Workers start in a fixed order — writers, consumers, producers,
+	// solos, each in sortedKeys order — so netsim sequence assignment never
+	// depends on map iteration.
+	var writers, consumers, producers, solos sync.WaitGroup
 	for _, site := range sortedKeys(ps.write) {
 		fn := ps.write[site]
-		exec := rc.c.AliveHost(site)
-		writers.Add(1)
-		rc.c.Go(exec, func() {
-			defer writers.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("write"), "write", bucket)
-			defer sp.Close(a)
-			// Drain unconditionally (upstream must never block on a full
-			// exchange), then skip the work if a cancel fired mid-phase.
+		p.Go(&writers, site, ps.op("write"), "write", bucket, func(a *cost.Acct) {
 			batches := drainSorted(rc.c.Net, a, ex2.Take(site))
 			defer netsim.PutBatches(batches)
-			if rc.canceled() {
-				rc.fail(rc.cancelErr())
-				return
-			}
 			fn(a, batches)
 		})
 	}
-
-	var consumers sync.WaitGroup
 	for _, site := range sortedKeys(ps.consume) {
-		site := site
 		fn := ps.consume[site]
-		exec := rc.c.AliveHost(site)
-		consumers.Add(1)
-		rc.c.Go(exec, func() {
-			defer consumers.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("consume"), "consume", bucket)
-			defer sp.Close(a)
+		p.Go(&consumers, site, ps.op("consume"), "consume", bucket, func(a *cost.Acct) {
 			snd := rc.newPhaseSender(a, site, ex2.Deliver)
 			batches := drainSorted(rc.c.Net, a, ex1.Take(site))
 			defer netsim.PutBatches(batches)
-			if rc.canceled() {
-				rc.fail(rc.cancelErr())
-			} else {
-				fn(a, snd, batches)
-			}
+			fn(a, snd, batches)
 			snd.FlushAll()
 			snd.Release()
 		})
 	}
-
-	var producers sync.WaitGroup
 	for _, site := range sortedKeys(ps.produce) {
-		site := site
 		fns := ps.produce[site]
-		exec := rc.c.AliveHost(site)
-		producers.Add(1)
-		rc.c.Go(exec, func() {
-			defer producers.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("produce"), "produce", bucket)
-			defer sp.Close(a)
+		p.Go(&producers, site, ps.op("produce"), "produce", bucket, func(a *cost.Acct) {
 			snd := rc.newPhaseSender(a, site, ex1.Deliver)
 			for _, fn := range fns {
-				// Poll the cancel signal between work items: an external
-				// cancel stops the scan flow here, mid-phase, and the
-				// error surfaces at the barrier.
-				if rc.canceled() {
-					rc.fail(rc.cancelErr())
-					break
-				}
 				fn(a, snd)
 			}
 			snd.FlushAll()
 			snd.Release()
 		})
 	}
-	var solos sync.WaitGroup
 	for _, site := range sortedKeys(ps.solo) {
 		fns := ps.solo[site]
-		exec := rc.c.AliveHost(site)
-		solos.Add(1)
-		rc.c.Go(exec, func() {
-			defer solos.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("solo"), "solo", bucket)
-			defer sp.Close(a)
+		p.Go(&solos, site, ps.op("solo"), "solo", bucket, func(a *cost.Acct) {
 			for _, fn := range fns {
-				if rc.canceled() {
-					rc.fail(rc.cancelErr())
-					break
-				}
 				fn(a)
 			}
 		})

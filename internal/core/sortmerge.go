@@ -119,7 +119,7 @@ func (rc *runCtx) smPartition(name string, inner bool, jt *split.JoinTable,
 	ps := newPhase(name, opLabels{produce: "scan", consume: "split write"}, -1)
 	ps.end = gamma.EndOpts{SplitEntries: jt.Entries()}
 	src, attr, p := rc.relSide(inner)
-	rc.scanRoute(ps.produce, src, attr, p, rc.spec.HashSeed, false, func(_ *cost.Acct, h uint64) (int, int) {
+	rc.scanRoute(ps.produce, src, attr, p, 0, false, func(_ *cost.Acct, h uint64) (int, int) {
 		return jt.Lookup(h), tagProbe
 	})
 	for _, s := range sortedKeys(tmp) {

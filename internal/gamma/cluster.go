@@ -97,10 +97,6 @@ func (c *Cluster) ReleaseRun() {
 	c.runMu.Unlock()
 }
 
-// Go runs fn on a pooled phase-worker goroutine with affinity to the given
-// physical site. It must only be called between AcquireRun and ReleaseRun.
-func (c *Cluster) Go(site int, fn func()) { c.pool.Go(site, fn) }
-
 // RegisterTempFile records a temp wiss file as live. internal/core calls it
 // from newTempFile; the name must be the file's full registered name.
 func (c *Cluster) RegisterTempFile(name string) {
@@ -308,8 +304,8 @@ func (c *Cluster) Colocated(src int) func(dst int) bool {
 }
 
 // NewTraceRecorder creates a trace recorder whose tracks mirror the
-// machine: one per site, labelled by id and processor class. Attach it to a
-// query via Query.Trace to put the execution on the simulated timeline.
+// machine: one per site, labelled by id and processor class. NewQuery takes
+// it to put the execution on the simulated timeline.
 func (c *Cluster) NewTraceRecorder() *trace.Recorder {
 	labels := make([]string, len(c.Sites))
 	for i, s := range c.Sites {

@@ -1,6 +1,7 @@
 package gamma
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"gammajoin/internal/cost"
 	"gammajoin/internal/netsim"
 	"gammajoin/internal/split"
+	"gammajoin/internal/trace"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wisconsin"
 )
@@ -72,13 +74,20 @@ func TestOverflowDiskSite(t *testing.T) {
 	}
 }
 
+// newTestQuery starts a query recording onto a fresh recorder.
+func newTestQuery(c *Cluster) *Query {
+	tr := c.NewTraceRecorder()
+	tr.NewAttempt()
+	return c.NewQuery(tr)
+}
+
 func TestPhaseAccounting(t *testing.T) {
 	c := NewLocal(2, nil)
-	q := c.NewQuery()
+	q := newTestQuery(c)
 	p := q.NewPhase("test")
-	a0 := p.Acct(0)
-	a0b := p.Acct(0)
-	a1 := p.Acct(1)
+	a0 := p.acct(0)
+	a0b := p.acct(0)
+	a1 := p.acct(1)
 	a0.AddCPU(100)
 	a0b.AddCPU(50)
 	a0b.AddDisk(300) // site 0: cpu 150, disk 300 -> elapsed 300
@@ -101,16 +110,19 @@ func TestPhaseAccounting(t *testing.T) {
 	if got := st.PerSite[0]; got.CPU != 150 || got.Disk != 300 {
 		t.Fatalf("site 0 merged acct = %+v", got)
 	}
+	if got := q.Trace.Now(); got != cost.DurNs(elapsed) {
+		t.Fatalf("trace clock = %v, want the phase's elapsed %v", got, elapsed)
+	}
 }
 
 func TestPhaseSplitTableDelivery(t *testing.T) {
 	c := NewLocal(8, nil)
-	q := c.NewQuery()
+	q := newTestQuery(c)
 	small := q.NewPhase("small")
-	small.Acct(0)
+	small.acct(0)
 	e1 := small.End(EndOpts{SplitEntries: 48, Producers: 8})
 	big := q.NewPhase("big")
-	big.Acct(0)
+	big.acct(0)
 	e2 := big.End(EndOpts{SplitEntries: 56, Producers: 8})
 	if e2 <= e1 {
 		t.Fatalf("a >2KB split table (%v) must cost more than a 1-packet one (%v)", e2, e1)
@@ -119,19 +131,18 @@ func TestPhaseSplitTableDelivery(t *testing.T) {
 
 func TestPhaseConcurrentWorkers(t *testing.T) {
 	c := NewLocal(4, nil)
-	q := c.NewQuery()
+	q := newTestQuery(c)
+	c.AcquireRun()
+	defer c.ReleaseRun()
 	p := q.NewPhase("conc")
 	var wg sync.WaitGroup
 	for s := 0; s < 4; s++ {
 		for w := 0; w < 3; w++ {
-			wg.Add(1)
-			go func(site int) {
-				defer wg.Done()
-				a := p.Acct(site)
+			p.Go(&wg, s, "spin", "solo", -1, func(a *cost.Acct) {
 				for i := 0; i < 1000; i++ {
 					a.AddCPU(1)
 				}
-			}(s)
+			})
 		}
 	}
 	wg.Wait()
@@ -140,6 +151,105 @@ func TestPhaseConcurrentWorkers(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		if st.PerSite[s].CPU != 3000 {
 			t.Fatalf("site %d CPU = %d, want 3000", s, st.PerSite[s].CPU)
+		}
+	}
+}
+
+// TestPhaseGoOneSpanPerWorker launches workers through Phase.Go across
+// sites, roles and phases — with one site failed over to its ring
+// neighbor — and checks the launcher's contract: every worker gets exactly
+// one span, stamped with its own account's CPU, disk and net totals at its
+// live host, and each site's PhaseStat.PerSite equals the sum of that
+// phase's spans at the site. Run under -race, it also checks that
+// concurrent launches share no unsynchronized state.
+func TestPhaseGoOneSpanPerWorker(t *testing.T) {
+	c := NewLocal(4, nil)
+	if err := c.EnableMirrors(); err != nil {
+		t.Fatal(err)
+	}
+	c.MarkDead(1) // site 1's roles run on site 2
+	q := newTestQuery(c)
+	c.AcquireRun()
+	defer c.ReleaseRun()
+
+	type key struct {
+		phase, site int
+		role        string
+	}
+	want := make(map[key]trace.Totals)
+	roles := []string{"write", "consume", "produce", "solo"}
+	for ph := 0; ph < 2; ph++ {
+		p := q.NewPhase(fmt.Sprintf("phase %d", ph))
+		var wg sync.WaitGroup
+		for ri, role := range roles {
+			for site := 0; site < 4; site++ {
+				tot := trace.Totals{
+					CPU:  cost.SimNs(1000*(site+1) + 10*ri + ph),
+					Disk: cost.SimNs(100*ri + site),
+					Net:  cost.SimNs(7*site + ph + 1),
+				}
+				host := c.AliveHost(site)
+				k := key{ph, host, role}
+				prev := want[k]
+				want[k] = trace.Totals{CPU: prev.CPU + tot.CPU, Disk: prev.Disk + tot.Disk, Net: prev.Net + tot.Net}
+				p.Go(&wg, site, role+" op", role, ph, func(a *cost.Acct) {
+					a.AddCPU(tot.CPU)
+					a.AddDisk(tot.Disk)
+					a.AddNet(tot.Net)
+				})
+			}
+		}
+		wg.Wait()
+		p.End(EndOpts{})
+	}
+
+	got := make(map[key]trace.Totals)
+	perSite := make(map[[2]int]cost.Acct) // (phase, site) -> summed spans
+	workers := 0
+	for _, sp := range q.Trace.Spans() {
+		if sp.Site < 0 {
+			continue // the scheduler track
+		}
+		workers++
+		if sp.Site == 1 {
+			t.Fatalf("span on dead site 1: %+v", sp)
+		}
+		if sp.Op != sp.Role+" op" || sp.Bucket != sp.Phase {
+			t.Fatalf("span labels %q/%q/bucket %d in phase %d", sp.Op, sp.Role, sp.Bucket, sp.Phase)
+		}
+		if want := (cost.Acct{CPU: sp.CPU, Disk: sp.Disk, Net: sp.Net}).Elapsed(); sp.Dur != want {
+			t.Fatalf("span dur %v, want its account's elapsed %v", sp.Dur, want)
+		}
+		k := key{sp.Phase, sp.Site, sp.Role}
+		prev := got[k]
+		got[k] = trace.Totals{CPU: prev.CPU + sp.CPU, Disk: prev.Disk + sp.Disk, Net: prev.Net + sp.Net}
+		ps := perSite[[2]int{sp.Phase, sp.Site}]
+		ps.CPU += sp.CPU
+		ps.Disk += sp.Disk
+		ps.Net += sp.Net
+		perSite[[2]int{sp.Phase, sp.Site}] = ps
+	}
+	if n := 2 * len(roles) * 4; workers != n {
+		t.Fatalf("%d worker spans, want %d (one per worker)", workers, n)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("span keys = %d, want %d", len(got), len(want))
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Fatalf("%+v: span totals %+v, want %+v", k, got[k], w)
+		}
+	}
+	for ph, st := range q.Phases {
+		if len(st.PerSite) != 3 {
+			t.Fatalf("phase %d ran at %d sites, want 3 (site 1 failed over)", ph, len(st.PerSite))
+		}
+		for site, acct := range st.PerSite {
+			sum := perSite[[2]int{ph, site}]
+			if acct.CPU != sum.CPU || acct.Disk != sum.Disk || acct.Net != sum.Net {
+				t.Fatalf("phase %d site %d: PerSite %v/%v/%v, spans sum %v/%v/%v",
+					ph, site, acct.CPU, acct.Disk, acct.Net, sum.CPU, sum.Disk, sum.Net)
+			}
 		}
 	}
 }

@@ -36,16 +36,16 @@ type Query struct {
 	C      *Cluster
 	Phases []PhaseStat
 
-	// Trace, when non-nil, records every phase onto the simulated-time
-	// timeline: NewPhase/End drive its virtual clock in lockstep with the
-	// response-time accumulation, and End publishes the phase's network and
-	// disk activity as per-phase gauges. A nil recorder disables tracing
-	// with zero effect on the numbers above.
+	// Trace records every phase onto the simulated-time timeline:
+	// NewPhase/End drive its virtual clock in lockstep with the
+	// response-time accumulation, End publishes the phase's network and
+	// disk activity as per-phase gauges, and Phase.Go opens one span per
+	// worker.
 	Trace *trace.Recorder
 }
 
-// NewQuery starts a query on the cluster.
-func (c *Cluster) NewQuery() *Query { return &Query{C: c} }
+// NewQuery starts a query on the cluster, recording onto tr.
+func (c *Cluster) NewQuery(tr *trace.Recorder) *Query { return &Query{C: c, Trace: tr} }
 
 // Response returns the accumulated response time.
 func (q *Query) Response() time.Duration {
@@ -63,16 +63,14 @@ func (q *Query) Response() time.Duration {
 // failover and full restart — pay this before reacting.
 func (q *Query) AddDetection(name string, delay time.Duration) {
 	q.Phases = append(q.Phases, PhaseStat{Name: name, Sched: delay})
-	if tr := q.Trace; tr.Enabled() {
-		tr.BeginPhase(name)
-		tr.EndPhase(0, cost.DurNs(delay))
-	}
+	q.Trace.BeginPhase(name)
+	q.Trace.EndPhase(0, cost.DurNs(delay))
 }
 
-// Phase is one barrier-synchronized operator phase. Worker goroutines
-// register per-goroutine accounts against their site; End merges them,
-// takes the slowest site, adds scheduling overhead, and appends a PhaseStat
-// to the query.
+// Phase is one barrier-synchronized operator phase. Go starts its worker
+// processes, each with its own account and span at its site; End merges
+// the accounts, takes the slowest site, adds scheduling overhead, and
+// appends a PhaseStat to the query.
 type Phase struct {
 	q    *Query
 	name string
@@ -87,21 +85,40 @@ type Phase struct {
 // NewPhase begins a phase.
 func (q *Query) NewPhase(name string) *Phase {
 	p := &Phase{
-		q:        q,
-		name:     name,
-		accts:    make(map[int][]*cost.Acct),
-		netStart: q.C.Net.Counters(),
+		q:         q,
+		name:      name,
+		accts:     make(map[int][]*cost.Acct),
+		netStart:  q.C.Net.Counters(),
+		diskStart: q.C.DiskCounters(),
 	}
-	if q.Trace.Enabled() {
-		p.diskStart = q.C.DiskCounters()
-		q.Trace.BeginPhase(name)
-	}
+	q.Trace.BeginPhase(name)
 	return p
 }
 
-// Acct registers and returns a fresh account for one worker goroutine
-// running at the given site. Each goroutine must use its own account.
-func (p *Phase) Acct(site int) *cost.Acct {
+// Go starts one operator process of the phase — the only way a phase
+// worker is started. The logical site's roles run at its live host (after
+// a failover, the ring neighbor): fn runs on that host's pooled worker
+// with a fresh account registered against the host, traced by exactly one
+// span labelled op, role and bucket (-1 when not applicable) that closes
+// when fn returns. wg.Done fires after the span is closed. Call Go only
+// between the cluster's AcquireRun and ReleaseRun.
+func (p *Phase) Go(wg *sync.WaitGroup, site int, op, role string, bucket int, fn func(a *cost.Acct)) {
+	wg.Add(1)
+	p.q.C.pool.Go(poolTask{site: p.q.C.AliveHost(site), p: p, wg: wg, op: op, role: role, bucket: bucket, fn: fn})
+}
+
+// run executes one task submitted by Go on the pool worker.
+func (p *Phase) run(t *poolTask) {
+	defer t.wg.Done()
+	a := p.acct(t.site)
+	sp := p.q.Trace.Start(t.site, t.op, t.role, t.bucket)
+	defer sp.Close(a)
+	t.fn(a)
+}
+
+// acct registers and returns a fresh account for one worker running at the
+// given site. Each worker must use its own account.
+func (p *Phase) acct(site int) *cost.Acct {
 	a := &cost.Acct{}
 	p.mu.Lock()
 	p.accts[site] = append(p.accts[site], a)
@@ -135,7 +152,7 @@ func (p *Phase) End(opts EndOpts) time.Duration {
 		for _, a := range list {
 			merged.Merge(*a)
 		}
-		// The per-site account list is in Acct-registration order, which
+		// The per-site account list is in registration order, which
 		// depends on goroutine scheduling; resource totals are commutative
 		// but the merged event list is not. Impose a canonical time order
 		// so reports stay byte-identical across runs.
@@ -174,28 +191,27 @@ func (p *Phase) End(opts EndOpts) time.Duration {
 	}
 	p.q.Phases = append(p.q.Phases, stat)
 
-	if tr := p.q.Trace; tr.Enabled() {
-		// Publish the phase's cluster-wide activity as per-phase gauges,
-		// then advance the virtual clock by the phase's elapsed time. The
-		// gauges read the same counters the PhaseStat snapshots — tracing
-		// observes the cost model, it never feeds back into it.
-		mm := tr.Metrics()
-		mm.Gauge("net.tuples.local").Set(stat.Net.TuplesLocal.Count())
-		mm.Gauge("net.tuples.remote").Set(stat.Net.TuplesRemote.Count())
-		mm.Gauge("net.packets.local").Set(stat.Net.PacketsLocal)
-		mm.Gauge("net.packets.remote").Set(stat.Net.PacketsRemote)
-		mm.Gauge("net.bytes.wire").Set(stat.Net.BytesOnWire.Count())
-		mm.Gauge("net.packets.retransmitted").Set(stat.Net.PacketsRetransmitted)
-		mm.Gauge("net.packets.duplicated").Set(stat.Net.PacketsDuplicated)
-		dd := p.q.C.DiskCounters().Sub(p.diskStart)
-		mm.Gauge("disk.pages.read").Set(dd.PagesRead.Count())
-		mm.Gauge("disk.pages.written").Set(dd.PagesWritten.Count())
-		mm.Gauge("disk.read.retries").Set(dd.ReadRetries)
-		mm.Gauge("disk.file.switches").Set(dd.FileSwitches)
-		mm.Gauge("disk.mirror.reads").Set(dd.MirrorReads.Count())
-		mm.Gauge("disk.mirror.writes").Set(dd.MirrorWrites.Count())
-		tr.EndPhase(work, sched)
-	}
+	// Publish the phase's cluster-wide activity as per-phase gauges, then
+	// advance the virtual clock by the phase's elapsed time. The gauges
+	// read the same counters the PhaseStat snapshots — tracing observes
+	// the cost model, it never feeds back into it.
+	tr := p.q.Trace
+	mm := tr.Metrics()
+	mm.Gauge("net.tuples.local").Set(stat.Net.TuplesLocal.Count())
+	mm.Gauge("net.tuples.remote").Set(stat.Net.TuplesRemote.Count())
+	mm.Gauge("net.packets.local").Set(stat.Net.PacketsLocal)
+	mm.Gauge("net.packets.remote").Set(stat.Net.PacketsRemote)
+	mm.Gauge("net.bytes.wire").Set(stat.Net.BytesOnWire.Count())
+	mm.Gauge("net.packets.retransmitted").Set(stat.Net.PacketsRetransmitted)
+	mm.Gauge("net.packets.duplicated").Set(stat.Net.PacketsDuplicated)
+	dd := p.q.C.DiskCounters().Sub(p.diskStart)
+	mm.Gauge("disk.pages.read").Set(dd.PagesRead.Count())
+	mm.Gauge("disk.pages.written").Set(dd.PagesWritten.Count())
+	mm.Gauge("disk.read.retries").Set(dd.ReadRetries)
+	mm.Gauge("disk.file.switches").Set(dd.FileSwitches)
+	mm.Gauge("disk.mirror.reads").Set(dd.MirrorReads.Count())
+	mm.Gauge("disk.mirror.writes").Set(dd.MirrorWrites.Count())
+	tr.EndPhase(work, sched)
 	return stat.Elapsed()
 }
 

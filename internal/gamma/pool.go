@@ -1,6 +1,10 @@
 package gamma
 
-import "sync"
+import (
+	"sync"
+
+	"gammajoin/internal/cost"
+)
 
 // workerPool keeps one stack of parked worker goroutines per site, so the
 // tens to hundreds of barrier-synchronized phases in one query reuse the
@@ -22,25 +26,31 @@ type workerPool struct {
 	wg       sync.WaitGroup
 }
 
+// poolTask is one phase worker (Phase.Go): the task carries the span labels
+// and the body itself, so submitting it allocates nothing beyond fn.
 type poolTask struct {
-	site int // affinity key for re-parking
-	fn   func()
+	site     int // physical host; also the affinity key for re-parking
+	p        *Phase
+	wg       *sync.WaitGroup
+	op, role string
+	bucket   int
+	fn       func(a *cost.Acct)
 }
 
 type poolWorker struct {
 	ch chan poolTask
 }
 
-// Go runs fn on a worker with affinity to site: a worker that last ran a
-// task for the site if one is parked, otherwise a fresh goroutine. fn runs
-// asynchronously; callers synchronize through their own WaitGroups, exactly
-// as with a bare `go` statement.
-func (p *workerPool) Go(site int, fn func()) {
+// Go runs the task on a worker with affinity to its site: a worker that
+// last ran a task for the site if one is parked, otherwise a fresh
+// goroutine. The task runs asynchronously; callers synchronize through its
+// WaitGroup, exactly as with a bare `go` statement.
+func (p *workerPool) Go(t poolTask) {
 	p.mu.Lock()
 	var w *poolWorker
-	if ws := p.idle[site]; len(ws) > 0 {
+	if ws := p.idle[t.site]; len(ws) > 0 {
 		w = ws[len(ws)-1]
-		p.idle[site] = ws[:len(ws)-1]
+		p.idle[t.site] = ws[:len(ws)-1]
 	}
 	p.mu.Unlock()
 	if w == nil {
@@ -48,13 +58,13 @@ func (p *workerPool) Go(site int, fn func()) {
 		p.wg.Add(1)
 		go w.loop(p)
 	}
-	w.ch <- poolTask{site: site, fn: fn}
+	w.ch <- t
 }
 
 func (w *poolWorker) loop(p *workerPool) {
 	defer p.wg.Done()
 	for task := range w.ch {
-		task.fn()
+		task.p.run(&task)
 		if !p.park(w, task.site) {
 			return
 		}

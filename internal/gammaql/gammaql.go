@@ -45,7 +45,7 @@ func Help() string {
   create <name> <cardinality> [skewed] partition by <roundrobin|hash|range> <attr>
   create <name> bprime <source> <k> partition by <strategy> <attr>
   create <name> subset <source> <k> partition by <strategy> <attr>
-  join <inner> <outer> on <attr> [and <outer-attr>] using <sortmerge|simple|grace|hybrid>
+  join <inner> <outer> on <attr> [and <outer-attr>] using <sortmerge|simple|grace|hybrid|hybrid-dyn>
        mem <ratio> [filter] [buckets <n>] [overflow] [nostore]
   plan <inner> <outer> on <attr> [and <outer-attr>] mem <ratio>
                          let the optimizer choose and run the join
@@ -140,21 +140,6 @@ func parseStrategy(w string) (gamma.Strategy, error) {
 		return gamma.RangeUniform, nil
 	default:
 		return 0, fmt.Errorf("unknown strategy %q", w)
-	}
-}
-
-func parseAlg(w string) (core.Algorithm, error) {
-	switch strings.ToLower(w) {
-	case "sortmerge", "sort-merge", "sm":
-		return core.SortMerge, nil
-	case "simple":
-		return core.Simple, nil
-	case "grace":
-		return core.Grace, nil
-	case "hybrid":
-		return core.Hybrid, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", w)
 	}
 }
 
@@ -276,7 +261,7 @@ func (s *Session) join(toks []string) error {
 			if i+1 >= len(toks) {
 				return fmt.Errorf("USING needs an algorithm")
 			}
-			if spec.Alg, err = parseAlg(toks[i+1]); err != nil {
+			if spec.Alg, err = core.ParseAlgorithm(toks[i+1]); err != nil {
 				return err
 			}
 			i += 2

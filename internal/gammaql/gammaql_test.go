@@ -43,6 +43,18 @@ func TestCreateAndJoin(t *testing.T) {
 	}
 }
 
+func TestHybridDynJoin(t *testing.T) {
+	s, out := newTestSession()
+	mustExec(t, s,
+		"create A 2000 partition by hash unique1",
+		"create B bprime A 200 partition by hash unique1",
+		"join B A on unique1 using hybrid-dyn mem 0.5",
+	)
+	if !strings.Contains(out.String(), "hybrid-dyn join: 200 result tuples") {
+		t.Errorf("output:\n%s", out.String())
+	}
+}
+
 func TestSkewedSubsetJoin(t *testing.T) {
 	s, out := newTestSession()
 	mustExec(t, s,

@@ -289,8 +289,8 @@ type phaseAgg struct {
 
 // FromRecorder profiles an in-process trace recorder.
 func FromRecorder(rec *trace.Recorder, m *cost.Model) (*Profile, error) {
-	if !rec.Enabled() {
-		return nil, fmt.Errorf("profile: trace recorder disabled")
+	if rec == nil {
+		return nil, fmt.Errorf("profile: no trace recorder")
 	}
 	return FromSpans(rec.QueryID(), rec.Spans(), m)
 }

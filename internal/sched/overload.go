@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"gammajoin/internal/core"
 	"gammajoin/internal/cost"
 	"gammajoin/internal/xrand"
 )
@@ -230,5 +231,5 @@ func (e *Engine) brownoutGrant(q *Query) (grant int64, degraded, ok bool) {
 // grant: the Hybrid variants degrade gracefully (more buckets, Figures
 // 7-9); the others are left to queue.
 func brownoutEligible(q *Query) bool {
-	return q.Alg.String() == "hybrid" || q.Alg.String() == "hybrid-dyn"
+	return q.Alg == core.Hybrid || q.Alg == core.HybridDyn
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"gammajoin/internal/core"
 	"gammajoin/internal/cost"
@@ -367,6 +366,3 @@ func mplLabel(mpl int) string {
 	}
 	return fmt.Sprintf("%d", mpl)
 }
-
-// Makespan returns the makespan as a Duration.
-func (r *Result) Makespan() time.Duration { return r.MakespanNs.Dur() }

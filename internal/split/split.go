@@ -63,17 +63,6 @@ func (t *JoinTable) Lookup(h uint64) int {
 // Index returns the raw mod index, used by tests and the Table 1 demo.
 func (t *JoinTable) Index(h uint64) int { return int(h % uint64(len(t.Sites))) }
 
-// LookupBatch routes a whole run of hashes at once: sites[i] is the joining
-// site for hashes[i]. sites must be at least as long as hashes. The batched
-// operator engine uses this columnar form so routing a run touches only the
-// hash column; results are identical to calling Lookup per element.
-func (t *JoinTable) LookupBatch(hashes []uint64, sites []int) {
-	n := uint64(len(t.Sites))
-	for i, h := range hashes {
-		sites[i] = t.Sites[h%n]
-	}
-}
-
 // PartTable is a partitioning split table. If JoinSites is nil the table is
 // Grace-style (every bucket is stored on disk); otherwise it is Hybrid-style
 // and bucket 0 routes directly to the joining processes.
@@ -124,15 +113,6 @@ func (t *PartTable) Lookup(h uint64) (bucket, site int) {
 		return 1 + e/len(t.DiskSites), t.DiskSites[e%len(t.DiskSites)]
 	}
 	return e / len(t.DiskSites), t.DiskSites[e%len(t.DiskSites)]
-}
-
-// LookupBatch maps a run of hashes to (bucket, site) pairs: buckets[i] and
-// sites[i] receive the routing for hashes[i]. Both output slices must be at
-// least as long as hashes; results are identical to per-element Lookup.
-func (t *PartTable) LookupBatch(hashes []uint64, buckets, sites []int) {
-	for i, h := range hashes {
-		buckets[i], sites[i] = t.Lookup(h)
-	}
 }
 
 // AnalyzeBuckets is the Optimizer Bucket Analyzer from Appendix A: starting

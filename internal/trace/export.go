@@ -45,9 +45,6 @@ func usecAt(ns int64) float64 { return float64(ns) / 1e3 }
 // become instant ("i") events, and every metric sample becomes a counter
 // ("C") event.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("trace: recorder disabled")
-	}
 	schedTid := len(r.SiteLabels())
 
 	// The Chrome "process" is the query: standalone runs are query 0, and
@@ -160,9 +157,6 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 // spreadsheet. Events are folded into the last column as kind@ns(detail)
 // pairs separated by spaces.
 func (r *Recorder) WriteSpansTSV(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("trace: recorder disabled")
-	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "query\tattempt\tphase\tphase_name\tsite\trole\top\tbucket\tstart_ns\tdur_ns\tcpu_ns\tdisk_ns\tnet_ns\tevents")
 	for _, s := range r.Spans() {
@@ -183,20 +177,12 @@ func (r *Recorder) WriteSpansTSV(w io.Writer) error {
 // WriteMetricsTSV dumps the per-phase metric time series. value is the
 // sampled value (cumulative for counters, per-phase for gauges); delta is
 // the per-phase activity for both kinds.
-func (r *Recorder) WriteMetricsTSV(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("trace: recorder disabled")
-	}
-	return r.Metrics().WriteTSV(w)
-}
+func (r *Recorder) WriteMetricsTSV(w io.Writer) error { return r.Metrics().WriteTSV(w) }
 
 // WriteTSV dumps a registry's time series in the same format as
 // Recorder.WriteMetricsTSV, for standalone registries (the workload
 // engine's admission metrics).
 func (m *Metrics) WriteTSV(w io.Writer) error {
-	if m == nil {
-		return fmt.Errorf("trace: metrics disabled")
-	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "attempt\tphase\tphase_name\tat_ns\tmetric\tvalue\tdelta")
 	prev := make(map[string]int64)
@@ -220,9 +206,6 @@ func (m *Metrics) WriteTSV(w io.Writer) error {
 // files from an MPL sweep can be concatenated into one flamegraph without
 // the queries' identically-named sites merging into a single tower.
 func (r *Recorder) WriteFolded(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("trace: recorder disabled")
-	}
 	root := ""
 	if qid := r.QueryID(); qid != 0 {
 		root = fmt.Sprintf("q%d;", qid)

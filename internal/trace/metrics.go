@@ -11,9 +11,6 @@ import (
 // whole query (all attempts); gauges hold one per-phase value and reset
 // after each sample. Handles are cheap atomics, safe for hot paths in
 // worker goroutines; registration is lazy and idempotent.
-//
-// A nil *Metrics (disabled recorder) hands out nil handles whose methods
-// are no-ops, so instrumented code needs no conditionals.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -45,37 +42,21 @@ func (m *Metrics) Sample(attempt, phase int, phaseName string, at int64) {
 // Counter is a monotonically increasing metric.
 type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter. No-op on a nil handle.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
+// Add increments the counter.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current cumulative count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a per-phase level metric; it resets to zero after each sample.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores the gauge value. No-op on a nil handle.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
+// Set stores the gauge value.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Max raises the gauge to v if v is larger (order-independent, so worker
 // goroutines may race on it deterministically).
 func (g *Gauge) Max(v int64) {
-	if g == nil {
-		return
-	}
 	for {
 		cur := g.v.Load()
 		if v <= cur || g.v.CompareAndSwap(cur, v) {
@@ -85,18 +66,10 @@ func (g *Gauge) Max(v int64) {
 }
 
 // Value returns the gauge's current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Counter returns (registering if needed) the counter named name.
 func (m *Metrics) Counter(name string) *Counter {
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.counters[name]
@@ -110,9 +83,6 @@ func (m *Metrics) Counter(name string) *Counter {
 
 // Gauge returns (registering if needed) the gauge named name.
 func (m *Metrics) Gauge(name string) *Gauge {
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g := m.gauges[name]
@@ -155,9 +125,6 @@ type Sample struct {
 // phase barrier, after all workers finished). Gauges reset afterwards so
 // each phase reports its own level.
 func (m *Metrics) sample(attempt, phase int, phaseName string, at int64) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Sample{Attempt: attempt, Phase: phase, PhaseName: phaseName, At: at}
@@ -175,9 +142,6 @@ func (m *Metrics) sample(attempt, phase int, phaseName string, at int64) {
 
 // Samples returns the per-phase time series in barrier order.
 func (m *Metrics) Samples() []Sample {
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Sample(nil), m.samples...)
@@ -185,9 +149,6 @@ func (m *Metrics) Samples() []Sample {
 
 // IsCounter reports whether name is registered as a counter (vs a gauge).
 func (m *Metrics) IsCounter(name string) bool {
-	if m == nil {
-		return false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.counters[name] != nil
@@ -199,9 +160,6 @@ func (m *Metrics) IsCounter(name string) bool {
 // needs); gauges are already per-phase, so their sampled values return
 // unchanged.
 func (m *Metrics) Deltas(name string) []int64 {
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	counter := m.counters[name] != nil

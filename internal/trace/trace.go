@@ -12,12 +12,11 @@
 // simulated time.
 //
 // Because spans only read the accountants and the clock only follows the
-// cost model, tracing is zero-cost-model-impact: enabling or disabling it
-// cannot change a single reported nanosecond. All methods are nil-receiver
-// safe, so a disabled recorder is a true no-op. Exports (Chrome trace_event
-// JSON, TSV, folded stacks) emit in a canonical sort order, making trace
-// files byte-identical across runs of the same spec — they live under the
-// same determinism gate as the reports themselves.
+// cost model, tracing is zero-cost-model-impact: it cannot change a single
+// reported nanosecond. Exports (Chrome trace_event JSON, TSV, folded stacks)
+// emit in a canonical sort order, making trace files byte-identical across
+// runs of the same spec — they live under the same determinism gate as the
+// reports themselves.
 package trace
 
 import (
@@ -80,7 +79,7 @@ func (t Totals) Busy() cost.SimNs { return t.CPU + t.Disk + t.Net }
 // Recorder collects spans, instants, and metrics for one query execution.
 // Start may be called from any number of worker goroutines; clock methods
 // (NewAttempt, BeginPhase, EndPhase) must be called by the coordinator at
-// phase barriers. A nil *Recorder is a valid disabled recorder.
+// phase barriers.
 type Recorder struct {
 	labels []string // per-site track labels, index = site id
 
@@ -109,50 +108,24 @@ func NewRecorder(siteLabels []string) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder actually records.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // SetQuery stamps the recorder with a workload query id. The id is a whole
 // extra span dimension for multi-query runs (internal/sched): exporters key
 // the timeline's process on it, so concurrent queries land on separate
 // process tracks while site/phase/attempt semantics stay unchanged. Call
 // before the first phase; id 0 (the default) means a standalone query.
-func (r *Recorder) SetQuery(id int) {
-	if r == nil {
-		return
-	}
-	r.queryID = id
-}
+func (r *Recorder) SetQuery(id int) { r.queryID = id }
 
 // QueryID returns the workload query id set by SetQuery (0 when unset).
-func (r *Recorder) QueryID() int {
-	if r == nil {
-		return 0
-	}
-	return r.queryID
-}
+func (r *Recorder) QueryID() int { return r.queryID }
 
 // SiteLabels returns the per-site track labels.
-func (r *Recorder) SiteLabels() []string {
-	if r == nil {
-		return nil
-	}
-	return r.labels
-}
+func (r *Recorder) SiteLabels() []string { return r.labels }
 
-// Metrics returns the recorder's metrics registry (nil when disabled).
-func (r *Recorder) Metrics() *Metrics {
-	if r == nil {
-		return nil
-	}
-	return r.metrics
-}
+// Metrics returns the recorder's metrics registry.
+func (r *Recorder) Metrics() *Metrics { return r.metrics }
 
 // Now returns the virtual clock in simulated nanoseconds.
 func (r *Recorder) Now() cost.SimNs {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.now
@@ -162,9 +135,6 @@ func (r *Recorder) Now() cost.SimNs {
 // restart) and returns its ordinal. The clock keeps running: an abandoned
 // attempt's phases remain on the timeline as wasted work.
 func (r *Recorder) NewAttempt() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.attempt++
@@ -175,9 +145,6 @@ func (r *Recorder) NewAttempt() int {
 
 // Attempt returns the current attempt ordinal.
 func (r *Recorder) Attempt() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.attempt
@@ -186,9 +153,6 @@ func (r *Recorder) Attempt() int {
 // BeginPhase marks the start of a barrier-synchronized phase. Spans started
 // until EndPhase inherit the phase ordinal, name, and virtual start time.
 func (r *Recorder) BeginPhase(name string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.phase++
@@ -200,9 +164,6 @@ func (r *Recorder) BeginPhase(name string) {
 // advances the virtual clock by work+sched — the phase's contribution to
 // response time.
 func (r *Recorder) EndPhase(work, sched cost.SimNs) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.spans = append(r.spans, &Span{
@@ -223,12 +184,9 @@ func (r *Recorder) EndPhase(work, sched cost.SimNs) {
 
 // Start opens a span for one operator goroutine at site. bucket is the
 // bucket/partition the operator works on, or -1. The returned span must be
-// closed (usually deferred) against the goroutine's own account. Start on a
-// nil recorder returns a nil span; Close on a nil span is a no-op.
+// closed (usually deferred) against the goroutine's own account; phase
+// workers get theirs from gamma.Phase.Go.
 func (r *Recorder) Start(site int, op, role string, bucket int) *Span {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := &Span{
@@ -249,9 +207,6 @@ func (r *Recorder) Start(site int, op, role string, bucket int) *Span {
 // duration, resource breakdown, and the account's events shifted to
 // absolute simulated time. Close reads the account and never charges it.
 func (s *Span) Close(a *cost.Acct) {
-	if s == nil {
-		return
-	}
 	s.CPU, s.Disk, s.Net = a.CPU, a.Disk, a.Net
 	s.Dur = a.Elapsed()
 	for _, ev := range a.Events {
@@ -263,9 +218,6 @@ func (s *Span) Close(a *cost.Acct) {
 // time — used for faults that belong to the run, not to one operator
 // account (site crashes, query restarts).
 func (r *Recorder) Instant(site int, kind, detail string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.instants = append(r.instants, Instant{
@@ -283,9 +235,6 @@ func (r *Recorder) Instant(site int, kind, detail string) {
 // append spans in goroutine-scheduling order; the canonical sort is what
 // makes every export byte-identical across runs.
 func (r *Recorder) Spans() []*Span {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	spans := append([]*Span(nil), r.spans...)
 	r.mu.Unlock()
@@ -357,9 +306,6 @@ func lessEvents(a, b []Event) bool {
 
 // Instants returns the recorded instants (already in coordinator order).
 func (r *Recorder) Instants() []Instant {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Instant(nil), r.instants...)
@@ -396,9 +342,6 @@ func roleRank(role string) int {
 // from this — utilization falls out of the trace, not parallel bookkeeping.
 func (r *Recorder) SiteTotals(attempt int) map[int]Totals {
 	out := make(map[int]Totals)
-	if r == nil {
-		return out
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range r.spans {

@@ -97,28 +97,6 @@ func TestCanonicalSpanOrderIgnoresAppendOrder(t *testing.T) {
 	}
 }
 
-func TestNilRecorderIsNoOp(t *testing.T) {
-	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
-	r.NewAttempt()
-	r.BeginPhase("p")
-	sp := r.Start(0, "scan", "produce", -1)
-	sp.Close(&cost.Acct{CPU: 1}) // nil span: must not panic
-	r.EndPhase(1, 1)
-	r.Instant(0, "crash", "x")
-	if r.Now() != 0 || len(r.Spans()) != 0 || len(r.Instants()) != 0 {
-		t.Fatal("nil recorder recorded something")
-	}
-	m := r.Metrics()
-	m.Counter("x").Add(1) // nil metrics: no-op handles
-	m.Gauge("y").Set(2)
-	if m.Counter("x").Value() != 0 || m.Gauge("y").Value() != 0 {
-		t.Fatal("nil metrics registry retained values")
-	}
-}
-
 func TestMetricsSampleAndDeltas(t *testing.T) {
 	r := NewRecorder([]string{"s0"})
 	m := r.Metrics()
