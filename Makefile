@@ -8,8 +8,8 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# vet runs the stock go vet plus all six gammavet analyzers repo-wide —
-# determinism, costcharge, faultpoint, unitflow, leakcheck, wallclock
+# vet runs the stock go vet plus the four gammavet analyzers on every
+# package — determinism, costcharge, unitflow, confine
 # (docs/STATIC_ANALYSIS.md). Any diagnostic fails the build.
 vet:
 	$(GO) vet ./...

@@ -1,18 +1,23 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// modelled on golang.org/x/tools/go/analysis, plus the two gammavet
+// modelled on golang.org/x/tools/go/analysis, plus the four gammavet
 // analyzers that machine-check the simulator's reproducibility claims:
 //
-//   - determinism: simulator packages must not read wall-clock time, must
-//     not use the global math/rand source, and must not let map iteration
-//     order reach anything observable outside the iterating function;
-//   - costcharge: tuple traffic and page I/O in the execution engine must
-//     flow through the priced primitives of internal/netsim, internal/disk,
-//     and internal/wiss, paired with cost.Model charges.
+//   - determinism: map iteration order must not reach anything observable
+//     outside the iterating function;
+//   - costcharge: tuple traffic and page I/O must flow through the priced
+//     primitives of internal/netsim, internal/disk and internal/wiss, paired
+//     with cost.Model charges;
+//   - unitflow: cost units (SimNs, SimMs, Pages, Tuples, Bytes) must not be
+//     laundered by conversion;
+//   - confine: the real clock, fault decisions, global randomness and go
+//     statements stay in the one package that owns each.
 //
-// The framework exists because the repository is stdlib-only by design (see
-// README): analyzers here are built directly on go/ast and go/types, and a
-// loader in load.go resolves module-local imports without the go/packages
-// machinery. cmd/gammavet is the multichecker driver; vettest.go is the
+// Every analyzer runs on every package; none has a scope or an escape
+// hatch. The framework exists because the repository is stdlib-only by
+// design (see README): analyzers here are built directly on go/ast and
+// go/types, and a loader in load.go resolves module-local imports without
+// the go/packages machinery. Check is the whole-module driver that
+// cmd/gammavet and TestRepoClean share; vettest.go is the
 // analysistest-style harness used by the seeded-violation suites.
 package analysis
 
@@ -24,6 +29,9 @@ import (
 	"sort"
 	"strings"
 )
+
+// analyzers is the gammavet suite, applied to every package.
+var analyzers = []*Analyzer{Determinism, CostCharge, UnitFlow, Confine}
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
@@ -91,24 +99,6 @@ func Run(a *Analyzer, lp *LoadedPackage) ([]Diagnostic, error) {
 		return a.Column < b.Column
 	})
 	return pass.diags, nil
-}
-
-// orderedDirective is the justification comment that suppresses the
-// determinism analyzer's map-iteration rule at one range statement.
-const orderedDirective = "gammavet:ordered"
-
-// directiveLines returns the set of source lines in f that carry the given
-// gammavet directive, either as a standalone comment or trailing one.
-func directiveLines(fset *token.FileSet, f *ast.File, directive string) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, directive) {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
 }
 
 // isPkgNamed reports whether t (after unwrapping pointers and aliases) is

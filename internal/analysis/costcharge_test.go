@@ -6,22 +6,8 @@ func TestCostChargeSeededViolations(t *testing.T) {
 	RunTest(t, "testdata/costcharge", CostCharge)
 }
 
-// TestCostChargeCleanOnCore is the live gate the CI driver also runs: the
-// real execution engine must contain no unpriced traffic.
+// TestCostChargeCleanOnCore is the live gate on the execution engine: it
+// must contain no unpriced traffic.
 func TestCostChargeCleanOnCore(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := loader.Load(loader.ModRoot() + "/internal/core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run(CostCharge, lp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d)
-	}
+	assertClean(t, CostCharge, "internal/core")
 }

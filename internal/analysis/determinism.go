@@ -6,88 +6,44 @@ import (
 	"go/types"
 )
 
-// Determinism flags constructs that can make simulator output differ between
-// two runs with identical inputs:
+// Determinism flags a `range` over a map whose body has an effect that both
+// depends on iteration order and is observable outside the loop: a channel
+// send, a goroutine launch, or a write to something that escapes the
+// iterating function. Such an effect can make simulator output differ
+// between two runs with identical inputs. (The other sources of run-to-run
+// drift, the real clock and global math/rand, are confined by Confine.)
 //
-//  1. wall-clock reads (time.Now, time.Since, time.Until) — simulated time
-//     must come from the cost model;
-//  2. any use of the global math/rand or math/rand/v2 packages — randomness
-//     must flow through explicitly seeded internal/xrand sources;
-//  3. a `range` over a map whose body has an effect that both depends on
-//     iteration order and is observable outside the loop: a channel send, a
-//     goroutine launch, or a write to something that escapes the iterating
-//     function.
-//
-// Rule 3 exempts the order-independent shapes the simulator relies on:
+// The rule exempts the order-independent shapes the simulator relies on:
 // writes keyed by the loop key (m2[k] = ...), commutative integer
 // accumulation (n += v and friends — but not floats, whose addition is not
-// associative), and the collect-then-sort idiom (appending keys to a slice
-// that is later passed to sort or slices). A site that is order-independent
-// for a reason the analyzer cannot see carries a `//gammavet:ordered <why>`
-// comment on the range line or the line above.
+// associative), max/min folds (x = max(x, e), x = min(x, e)), and the
+// collect-then-sort idiom (appending to a slice that is later passed to sort
+// or slices). Any other loop ranges over sorted keys.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads, global math/rand, and map iteration " +
-		"whose order escapes the function in simulator packages",
-	Run: runDeterminism,
+	Doc:  "forbid map iteration whose order escapes the iterating function",
+	Run:  runDeterminism,
 }
 
 func runDeterminism(p *Pass) error {
 	for _, f := range p.Files {
-		checkWallClockAndRand(p, f)
-		ordered := directiveLines(p.Fset, f, orderedDirective)
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkFuncDeterminism(p, fn, ordered)
+			newFuncUnit(p, fn.Body, fn.Recv, fn.Type).walk(fn.Body)
 		}
 	}
 	return nil
-}
-
-// checkWallClockAndRand reports every qualified use of time.Now/Since/Until
-// and of the math/rand packages in the file.
-func checkWallClockAndRand(p *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		// Only package-qualified references (time.Now), not field/method
-		// selections on values.
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if _, isPkg := p.Info.Uses[id].(*types.PkgName); !isPkg {
-			return true
-		}
-		obj := p.Info.Uses[sel.Sel]
-		if obj == nil || obj.Pkg() == nil {
-			return true
-		}
-		switch obj.Pkg().Path() {
-		case "time":
-			switch obj.Name() {
-			case "Now", "Since", "Until":
-				p.Reportf(sel.Pos(), "time.%s reads the wall clock; simulated time must come from the cost model", obj.Name())
-			}
-		case "math/rand", "math/rand/v2":
-			p.Reportf(sel.Pos(), "%s.%s is not reproducible across runs; use a seeded gammajoin/internal/xrand source", obj.Pkg().Path(), obj.Name())
-		}
-		return true
-	})
 }
 
 // funcUnit is one function body under analysis: a FuncDecl or FuncLit.
 // Nested function literals are analyzed as their own units, so "escapes the
 // function" always refers to the innermost enclosing function.
 type funcUnit struct {
-	p       *Pass
-	ordered map[int]bool
-	body    *ast.BlockStmt
+	p    *Pass
+	body *ast.BlockStmt
 	// declared holds objects declared anywhere inside this unit (params,
 	// receivers, results, locals). Objects absent from it are captured
 	// variables or globals: writes to them always escape.
@@ -97,15 +53,9 @@ type funcUnit struct {
 	results map[types.Object]bool
 }
 
-func checkFuncDeterminism(p *Pass, fn *ast.FuncDecl, ordered map[int]bool) {
-	u := newFuncUnit(p, ordered, fn.Body, fn.Recv, fn.Type)
-	u.walk(fn.Body)
-}
-
-func newFuncUnit(p *Pass, ordered map[int]bool, body *ast.BlockStmt, recv *ast.FieldList, ftype *ast.FuncType) *funcUnit {
+func newFuncUnit(p *Pass, body *ast.BlockStmt, recv *ast.FieldList, ftype *ast.FuncType) *funcUnit {
 	u := &funcUnit{
 		p:        p,
-		ordered:  ordered,
 		body:     body,
 		declared: map[types.Object]bool{},
 		params:   map[types.Object]bool{},
@@ -145,7 +95,7 @@ func (u *funcUnit) walk(n ast.Node) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			inner := newFuncUnit(u.p, u.ordered, n.Body, nil, n.Type)
+			inner := newFuncUnit(u.p, n.Body, nil, n.Type)
 			inner.walk(n.Body)
 			return false
 		case *ast.RangeStmt:
@@ -167,12 +117,8 @@ func (u *funcUnit) isMapRange(rs *ast.RangeStmt) bool {
 	return isMap
 }
 
-// checkMapRange applies rule 3 to one map range statement.
+// checkMapRange applies the rule to one map range statement.
 func (u *funcUnit) checkMapRange(rs *ast.RangeStmt) {
-	line := u.p.Fset.Position(rs.Pos()).Line
-	if u.ordered[line] || u.ordered[line-1] {
-		return
-	}
 	keyObj := u.rangeVar(rs.Key)
 	valObj := u.rangeVar(rs.Value)
 
@@ -226,7 +172,7 @@ func (u *funcUnit) checkMapRange(rs *ast.RangeStmt) {
 			continue
 		}
 		u.p.Reportf(v.pos, "map iteration order over %s escapes this function (%s); "+
-			"range over sorted keys or justify with //gammavet:ordered", exprString(rs.X), v.detail)
+			"range over sorted keys", exprString(rs.X), v.detail)
 	}
 }
 
@@ -310,6 +256,10 @@ func (u *funcUnit) checkWrite(rs *ast.RangeStmt, keyObj, valObj types.Object, lh
 	// Commutative integer accumulation is order-independent. Floating-point
 	// accumulation is not (addition is non-associative), so it stays flagged.
 	if isCommutativeIntOp(tok, u.p.Info.Types[lhs].Type) {
+		return "", false
+	}
+	// So is a max/min fold, for any ordered type.
+	if isMinMaxFold(u.p, lhs, rhs, tok) {
 		return "", false
 	}
 
@@ -416,6 +366,28 @@ func isCommutativeIntOp(tok token.Token, t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
+}
+
+// isMinMaxFold matches `x = max(x, ...)` and `x = min(x, ...)` with the
+// builtin max or min.
+func isMinMaxFold(p *Pass, lhs, rhs ast.Expr, tok token.Token) bool {
+	id, ok := lhs.(*ast.Ident)
+	if !ok || tok != token.ASSIGN {
+		return false
+	}
+	call, ok := unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	fid, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	if b, ok := p.Info.Uses[fid].(*types.Builtin); !ok || b.Name() != "max" && b.Name() != "min" {
+		return false
+	}
+	arg, ok := unparen(call.Args[0]).(*ast.Ident)
+	return ok && p.objOf(arg) == p.objOf(id)
 }
 
 func baseIdent(e ast.Expr) *ast.Ident {

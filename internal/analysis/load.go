@@ -91,9 +91,6 @@ func NewLoader(dir string) (*Loader, error) {
 // ModRoot returns the module root directory.
 func (l *Loader) ModRoot() string { return l.modRoot }
 
-// ModPath returns the module import path.
-func (l *Loader) ModPath() string { return l.modPath }
-
 // pathForDir derives the import path of a directory inside the module.
 func (l *Loader) pathForDir(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
@@ -202,4 +199,92 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		return lp.Pkg, nil
 	}
 	return l.std.ImportFrom(path, dir, mode)
+}
+
+// Check runs every gammavet analyzer on each package the patterns name
+// and returns the import paths it analyzed and the findings. A pattern is a
+// package directory, relative to the working directory, or a directory
+// followed by "/..." for every package beneath it; the walk skips testdata,
+// hidden and underscore-prefixed directories and directories without
+// non-test Go files.
+func Check(patterns ...string) (pkgs []string, diags []Diagnostic, err error) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		return nil, nil, err
+	}
+	dirs, err := resolvePatterns(patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, dir := range dirs {
+		lp, err := loader.Load(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		pkgs = append(pkgs, lp.Path)
+		for _, a := range analyzers {
+			d, err := Run(a, lp)
+			if err != nil {
+				return nil, nil, err
+			}
+			diags = append(diags, d...)
+		}
+	}
+	return pkgs, diags, nil
+}
+
+// resolvePatterns expands patterns into sorted package directories.
+func resolvePatterns(patterns []string) ([]string, error) {
+	seen := map[string]bool{}
+	var dirs []string
+	add := func(dir string) {
+		if !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
+		}
+	}
+	for _, pat := range patterns {
+		pat, recursive := strings.CutSuffix(pat, "/...")
+		root, err := filepath.Abs(pat)
+		if err != nil {
+			return nil, err
+		}
+		if !recursive {
+			add(root)
+			continue
+		}
+		err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			name := d.Name()
+			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if hasGoFiles(p) {
+				add(p)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	sort.Strings(dirs)
+	return dirs, nil
+}
+
+// hasGoFiles reports whether dir holds a non-test Go file.
+func hasGoFiles(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		n := e.Name()
+		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+			return true
+		}
+	}
+	return false
 }

@@ -2,27 +2,9 @@
 // offending line carries a // want comment; clean idioms have none.
 package determ
 
-import (
-	"math/rand"
-	"sort"
-	"time"
-)
+import "sort"
 
 var globalTotal int64
-
-// wallClock reads the wall clock three ways.
-func wallClock() time.Duration {
-	start := time.Now()            // want `time.Now reads the wall clock`
-	d := time.Since(start)         // want `time.Since reads the wall clock`
-	_ = time.Until(start)          // want `time.Until reads the wall clock`
-	_ = time.Duration(42) * d / d  // time.Duration itself is fine
-	return d
-}
-
-// globalRand uses the unseeded global source.
-func globalRand(n int) int {
-	return rand.Intn(n) // want `math/rand.Intn is not reproducible`
-}
 
 // escapingRanges shows the map-iteration shapes the analyzer flags.
 func escapingRanges(m map[int]int64, out chan<- int64, sink []int64) []int64 {
@@ -41,7 +23,7 @@ func escapingRanges(m map[int]int64, out chan<- int64, sink []int64) []int64 {
 		collected = append(collected, v) // want `append order follows map order`
 	}
 	for range m {
-		go wallClock() // want `goroutines are launched in map order`
+		go sort.Ints(nil) // want `goroutines are launched in map order`
 	}
 	var avg float64
 	for _, v := range m {
@@ -90,13 +72,24 @@ func cleanRanges(m map[int]int64) ([]int, int64) {
 		_ = scratch
 	}
 
-	// A justified site: max over values is order-independent.
-	var maxV int64
-	for _, v := range m { //gammavet:ordered max fold is order-independent
-		if v > maxV {
-			maxV = v
-		}
+	// Max and min folds, for any ordered type.
+	var maxV, minV int64
+	var maxF float64
+	for _, v := range m {
+		maxV = max(maxV, v)
+		minV = min(minV, v, 0)
+		maxF = max(maxF, float64(v))
 	}
-	sum += maxV
+	sum += maxV + minV + int64(maxF)
 	return keys, sum
+}
+
+// notAFold takes max of something other than the accumulator, so the last
+// iteration wins.
+func notAFold(m map[int]int64) int64 {
+	var last int64
+	for _, v := range m {
+		last = max(v, 0) // want `map iteration order over m escapes`
+	}
+	return last
 }

@@ -69,12 +69,6 @@ func sanctioned(x int64, d time.Duration, pg cost.Pages, ms cost.SimMs) (cost.Si
 	return ns.Div(tp.Count() + 1), ns.Nanoseconds()
 }
 
-// justified carries the directive that suppresses the diagnostic.
-func justified(ns cost.SimNs) int64 {
-	//gammavet:unitflow feeding a unit-free metrics registry
-	return int64(ns)
-}
-
 // parsedColumnToNs asserts a just-parsed TSV column is nanoseconds without
 // the sanctioned constructor — the shape a profile reader must write as
 // cost.Ns(v) instead.

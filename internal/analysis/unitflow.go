@@ -29,18 +29,12 @@ import (
 //     int64(ns), float64(pages), time.Duration(ns); the accessor methods
 //     (Nanoseconds, Dur, Millis, Seconds, Count, ...) are the exits, and
 //     each documents which scaling it applies.
-//
-// A site that must perform a flagged conversion for a reason the analyzer
-// cannot see carries a `//gammavet:unitflow <why>` comment on the same line
-// or the line above.
 var UnitFlow = &Analyzer{
 	Name: "unitflow",
 	Doc: "forbid conversions that launder cost units (SimNs, SimMs, Pages, " +
 		"Tuples, Bytes) into each other or into bare numbers outside internal/cost",
 	Run: runUnitFlow,
 }
-
-const unitFlowDirective = "gammavet:unitflow"
 
 // unitTypeName returns the cost unit-type name of t ("SimNs", "Pages", ...)
 // or "" when t is not one of the unit types.
@@ -62,7 +56,6 @@ func runUnitFlow(p *Pass) error {
 		return nil // the constructors themselves live here
 	}
 	for _, f := range p.Files {
-		allowed := directiveLines(p.Fset, f, unitFlowDirective)
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
@@ -71,10 +64,6 @@ func runUnitFlow(p *Pass) error {
 			// A conversion is a "call" whose Fun is a type.
 			tv, ok := p.Info.Types[call.Fun]
 			if !ok || !tv.IsType() {
-				return true
-			}
-			line := p.Fset.Position(call.Pos()).Line
-			if allowed[line] || allowed[line-1] {
 				return true
 			}
 			arg := call.Args[0]

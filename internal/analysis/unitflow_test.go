@@ -6,34 +6,11 @@ func TestUnitFlowSeededViolations(t *testing.T) {
 	RunTest(t, "testdata/unitflow", UnitFlow)
 }
 
-// TestUnitFlowCleanOnSimulator is the live gate: the refactored simulator
-// must contain no unit-laundering conversions.
+// TestUnitFlowCleanOnSimulator is the live gate on the simulator: it must
+// contain no unit-laundering conversions.
 func TestUnitFlowCleanOnSimulator(t *testing.T) {
 	assertClean(t, UnitFlow,
 		"internal/core", "internal/netsim", "internal/disk", "internal/wiss",
 		"internal/gamma", "internal/sched", "internal/trace", "internal/experiments",
 		"internal/profile", "cmd/gammaprof")
-}
-
-// assertClean runs the analyzer over real repository packages and fails on
-// any diagnostic.
-func assertClean(t *testing.T, a *Analyzer, pkgs ...string) {
-	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		lp, err := loader.Load(loader.ModRoot() + "/" + pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags, err := Run(a, lp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range diags {
-			t.Errorf("unexpected finding: %s", d)
-		}
-	}
 }

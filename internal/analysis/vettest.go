@@ -6,7 +6,9 @@ import (
 	"go/token"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +35,15 @@ type expectation struct {
 // working directory) and checks its diagnostics against // want comments.
 func RunTest(t *testing.T, dir string, a *Analyzer) {
 	t.Helper()
+	RunRuleTest(t, dir, a, "")
+}
+
+// RunRuleTest is RunTest restricted to one rule of a many-rule analyzer: only
+// the diagnostics whose message, and the want patterns whose source, contain
+// rule are compared. An empty rule compares everything. It returns the number
+// of want patterns compared, so a caller can tell a rule that matched nothing.
+func RunRuleTest(t *testing.T, dir string, a *Analyzer, rule string) int {
+	t.Helper()
 	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +59,10 @@ func RunTest(t *testing.T, dir string, a *Analyzer) {
 	expects, err := collectWants(lp.Fset, lp.Files)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rule != "" {
+		diags = slices.DeleteFunc(diags, func(d Diagnostic) bool { return !strings.Contains(d.Message, rule) })
+		expects = slices.DeleteFunc(expects, func(e expectation) bool { return !strings.Contains(e.re.String(), rule) })
 	}
 
 	for _, d := range diags {
@@ -72,6 +87,7 @@ func RunTest(t *testing.T, dir string, a *Analyzer) {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", e.file, e.line, e.re)
 		}
 	}
+	return len(expects)
 }
 
 func collectWants(fset *token.FileSet, files []*ast.File) ([]expectation, error) {

@@ -10,7 +10,8 @@ import (
 	"gammajoin/internal/tuple"
 )
 
-// These are the leakcheck analyzer's claims made dynamic: every goroutine
+// These tests are the dynamic half of gammavet's goroutine rule (confine
+// keeps every library go statement in the phase worker pool): every worker
 // runPhase launches is joined before the run returns, on the happy path and
 // on every abort path — scripted site crashes absorbed by restart, crashes
 // absorbed by mirrored failover, and errors surfaced mid-query. Run under

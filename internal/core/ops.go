@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -228,6 +229,17 @@ func (f AggFn) String() string {
 	default:
 		return fmt.Sprintf("AggFn(%d)", int(f))
 	}
+}
+
+// ParseAggFn parses an aggregate name ("count", "sum", "min", "max",
+// "avg"), in any case.
+func ParseAggFn(s string) (AggFn, error) {
+	for f := Count; f <= Avg; f++ {
+		if strings.EqualFold(f.String(), s) {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown aggregate %q", s)
 }
 
 // AggSpec describes a (possibly grouped) parallel aggregate.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"gammajoin/internal/gamma"
@@ -260,5 +261,21 @@ func TestJoinWithPushedSelections(t *testing.T) {
 	}
 	if rep.ResultCount != 250 {
 		t.Fatalf("double-selection join count %d, want 250", rep.ResultCount)
+	}
+}
+
+func TestParseAggFnRoundTrip(t *testing.T) {
+	for f := Count; f <= Avg; f++ {
+		for _, s := range []string{f.String(), strings.ToUpper(f.String())} {
+			got, err := ParseAggFn(s)
+			if err != nil || got != f {
+				t.Errorf("ParseAggFn(%q) = %v, %v; want %v", s, got, err, f)
+			}
+		}
+	}
+	for _, s := range []string{"", "median", "AggFn(5)"} {
+		if _, err := ParseAggFn(s); err == nil {
+			t.Errorf("ParseAggFn(%q) accepted", s)
+		}
 	}
 }

@@ -284,10 +284,8 @@ func (rc *runCtx) report() *Report {
 		}
 	}
 	var maxBusy cost.SimNs
-	for _, t := range totals { //gammavet:ordered max fold is order-independent
-		if b := t.Busy(); b > maxBusy {
-			maxBusy = b
-		}
+	for _, t := range totals {
+		maxBusy = max(maxBusy, t.Busy())
 	}
 	r.BottleneckBusy = maxBusy.Dur()
 	return r

@@ -22,7 +22,8 @@ import "time"
 
 // SimNs is a duration in simulated nanoseconds — the currency every cost in
 // Model is denominated in and every Acct accumulates. It is not wall-clock
-// time; see the wallclock analyzer.
+// time; see gammavet's confine analyzer, which keeps the real clock in
+// internal/walltime.
 type SimNs int64
 
 // SimMs is a duration in simulated milliseconds, used only for the

@@ -132,17 +132,3 @@ func Load(c *Cluster, name string, tuples []tuple.Tuple, strat Strategy, partAtt
 	}
 	return rel, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -341,9 +341,7 @@ func (ht *HashTable) ChainStats() (avg float64, maxLen int) {
 	total := 0
 	for _, l := range lengths {
 		total += l
-		if l > maxLen {
-			maxLen = l
-		}
+		maxLen = max(maxLen, l)
 	}
 	return float64(total) / float64(len(lengths)), maxLen
 }

@@ -167,9 +167,7 @@ func (p *Phase) End(opts EndOpts) time.Duration {
 			return ei.Detail < ej.Detail
 		})
 		perSite[site] = merged
-		if e := merged.Elapsed(); e > work {
-			work = e
-		}
+		work = max(work, merged.Elapsed())
 	}
 
 	// Scheduling: fixed scheduler latency, three control messages per

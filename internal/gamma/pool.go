@@ -12,7 +12,9 @@ import (
 // pool is owned by the Cluster; workers live for the duration of one
 // query-execution tenure (AcquireRun..ReleaseRun) and are drained — closed
 // and joined — when the run lock is released, so nothing lingers between
-// queries and the goroutine-leak tests see a quiescent process.
+// queries and the goroutine-leak tests see a quiescent process. Its worker
+// launch is the only go statement gammavet's confine analyzer allows in a
+// library package.
 //
 // Submission never queues: if the site has no parked worker a new one is
 // spawned. This is load-bearing, not just a latency choice — a phase's
@@ -86,21 +88,20 @@ func (p *workerPool) park(w *poolWorker, site int) bool {
 	return true
 }
 
-// drain terminates every worker and waits for them to exit. Callers must
+// drain terminates every worker (closing each parked worker's channel, in
+// any order) and waits for them to exit. Callers must
 // guarantee no Go calls are in flight (the cluster calls it under the run
 // lock, after the query's last phase barrier).
 func (p *workerPool) drain() {
 	p.mu.Lock()
 	p.draining = true
-	var ws []*poolWorker
-	for _, list := range p.idle {
-		ws = append(ws, list...)
+	for _, ws := range p.idle {
+		for _, w := range ws {
+			close(w.ch)
+		}
 	}
 	p.idle = nil
 	p.mu.Unlock()
-	for _, w := range ws {
-		close(w.ch)
-	}
 	p.wg.Wait()
 	p.mu.Lock()
 	p.draining = false

@@ -335,22 +335,9 @@ func parseWhere(toks []string, i int) (pred.Pred, int, error) {
 		if err != nil {
 			return nil, i, err
 		}
-		var op pred.Op
-		switch toks[i+1] {
-		case "=", "==":
-			op = pred.EQ
-		case "<>", "!=":
-			op = pred.NE
-		case "<":
-			op = pred.LT
-		case "<=":
-			op = pred.LE
-		case ">":
-			op = pred.GT
-		case ">=":
-			op = pred.GE
-		default:
-			return nil, i, fmt.Errorf("unknown operator %q", toks[i+1])
+		op, err := pred.ParseOp(toks[i+1])
+		if err != nil {
+			return nil, i, err
 		}
 		v, err := strconv.Atoi(toks[i+2])
 		if err != nil {
@@ -405,20 +392,9 @@ func (s *Session) agg(toks []string) error {
 	if len(toks) < 4 {
 		return fmt.Errorf("usage: agg <fn> <attr> [by <group>] on <rel> [where ...]")
 	}
-	var fn core.AggFn
-	switch strings.ToLower(toks[0]) {
-	case "count":
-		fn = core.Count
-	case "sum":
-		fn = core.Sum
-	case "min":
-		fn = core.Min
-	case "max":
-		fn = core.Max
-	case "avg":
-		fn = core.Avg
-	default:
-		return fmt.Errorf("unknown aggregate %q", toks[0])
+	fn, err := core.ParseAggFn(toks[0])
+	if err != nil {
+		return err
 	}
 	attr, err := tuple.AttrIndex(toks[1])
 	if err != nil {

@@ -46,6 +46,23 @@ func (o Op) String() string {
 	}
 }
 
+// ParseOp parses a comparison operator: the String form of any Op, or the
+// aliases "==" and "!=".
+func ParseOp(s string) (Op, error) {
+	switch s {
+	case "==":
+		return EQ, nil
+	case "!=":
+		return NE, nil
+	}
+	for o := EQ; o <= GE; o++ {
+		if o.String() == s {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown comparison operator %q", s)
+}
+
 // Pred is a selection predicate.
 type Pred interface {
 	// Eval reports whether the tuple satisfies the predicate.

@@ -110,3 +110,22 @@ func TestDeMorganProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseOpRoundTrip(t *testing.T) {
+	for o := EQ; o <= GE; o++ {
+		got, err := ParseOp(o.String())
+		if err != nil || got != o {
+			t.Errorf("ParseOp(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+	}
+	for s, want := range map[string]Op{"==": EQ, "!=": NE} {
+		if got, err := ParseOp(s); err != nil || got != want {
+			t.Errorf("ParseOp(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "=<", "Op(6)", "eq"} {
+		if _, err := ParseOp(s); err == nil {
+			t.Errorf("ParseOp(%q) accepted", s)
+		}
+	}
+}

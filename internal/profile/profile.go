@@ -419,10 +419,7 @@ func FromSpans(queryID int, spans []*trace.Span, m *cost.Model) (*Profile, error
 func phaseWork(pa *phaseAgg) cost.SimNs {
 	var work cost.SimNs
 	for _, sa := range pa.sites {
-		e := SiteWork{CPU: sa.cpu, Disk: sa.disk, Net: sa.net}.Elapsed()
-		if e > work {
-			work = e
-		}
+		work = max(work, SiteWork{CPU: sa.cpu, Disk: sa.disk, Net: sa.net}.Elapsed())
 	}
 	return work
 }

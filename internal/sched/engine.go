@@ -129,13 +129,15 @@ func newRunq(q *Query, rep *core.Report, grant int64, admitNs cost.SimNs) *runq 
 			sched: cost.DurNs(ps.Sched),
 			rem:   make(map[int]cost.SimNs, len(ps.PerSite)),
 		}
+		var sites []int
 		for site, a := range ps.PerSite {
 			if e := a.Elapsed(); e > 0 {
-				ph.sites = append(ph.sites, site)
+				sites = append(sites, site)
 				ph.rem[site] = e
 			}
 		}
-		sort.Ints(ph.sites)
+		sort.Ints(sites)
+		ph.sites = sites
 		r.phases = append(r.phases, ph)
 	}
 	r.pi = -1

@@ -4,20 +4,20 @@
 // harness ergonomics (the -t flag's "how long did this experiment take to
 // compute" lines) and never feed a simulated metric.
 //
-// The gammavet wallclock analyzer bans time.Now/Since/Sleep and friends
-// repo-wide; the `//gammavet:wallclock` directives below are the sanctioned
-// exceptions. Code that wants a wall-clock reading imports this package, so
-// every such dependency is greppable through one import path.
+// The gammavet confine analyzer makes this package the owner of
+// time.Now/Since/Sleep and friends: it is the only package allowed to call
+// them. Code that wants a wall-clock reading imports this package, so every
+// such dependency is greppable through one import path.
 package walltime
 
 import "time"
 
 // Now reads the wall clock.
 func Now() time.Time {
-	return time.Now() //gammavet:wallclock the harness timing shim
+	return time.Now()
 }
 
 // Since reports wall-clock time elapsed since t.
 func Since(t time.Time) time.Duration {
-	return time.Since(t) //gammavet:wallclock the harness timing shim
+	return time.Since(t)
 }

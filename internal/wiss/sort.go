@@ -251,17 +251,3 @@ func mergeRuns(a *cost.Acct, m *cost.Model, runs []*File, out *File, attr int) {
 	out.mu.Unlock()
 	out.Flush(a)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -22,22 +22,9 @@ func Where(attr, op string, value int32) (Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	var o pred.Op
-	switch op {
-	case "=", "==":
-		o = pred.EQ
-	case "<>", "!=":
-		o = pred.NE
-	case "<":
-		o = pred.LT
-	case "<=":
-		o = pred.LE
-	case ">":
-		o = pred.GT
-	case ">=":
-		o = pred.GE
-	default:
-		return nil, fmt.Errorf("gammajoin: unknown comparison operator %q", op)
+	o, err := pred.ParseOp(op)
+	if err != nil {
+		return nil, fmt.Errorf("gammajoin: %w", err)
 	}
 	return pred.Cmp{Attr: idx, Op: o, Val: value}, nil
 }
@@ -91,20 +78,9 @@ type AggGroup = core.AggGroup
 // "max", "avg"; groupBy may be empty for a scalar aggregate. The final
 // aggregation runs on the diskless processors when the machine has them.
 func (m *Machine) Aggregate(rel *Relation, fn, attr, groupBy string, where Predicate) (*OpReport, []AggGroup, error) {
-	var f core.AggFn
-	switch fn {
-	case "count":
-		f = core.Count
-	case "sum":
-		f = core.Sum
-	case "min":
-		f = core.Min
-	case "max":
-		f = core.Max
-	case "avg":
-		f = core.Avg
-	default:
-		return nil, nil, fmt.Errorf("gammajoin: unknown aggregate %q", fn)
+	f, err := core.ParseAggFn(fn)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gammajoin: %w", err)
 	}
 	aggIdx, err := tuple.AttrIndex(attr)
 	if err != nil {

@@ -95,6 +95,9 @@ func TestMachineAggregate(t *testing.T) {
 	if scalar[0].Value != 1999 {
 		t.Fatalf("max = %v", scalar[0].Value)
 	}
+	if _, _, err := m.Aggregate(rel, "COUNT", "unique1", "", nil); err != nil {
+		t.Fatalf("upper-case aggregate name rejected: %v", err)
+	}
 	if _, _, err := m.Aggregate(rel, "median", "unique1", "", nil); err == nil {
 		t.Fatal("unknown aggregate accepted")
 	}
