@@ -21,7 +21,7 @@ func TestRepoClean(t *testing.T) {
 // any diagnostic; the per-analyzer live gates use it.
 func assertClean(t *testing.T, a *Analyzer, pkgs ...string) {
 	t.Helper()
-	loader, err := NewLoader(".")
+	loader, err := testLoader()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestWallClockCleanRepoWide(t *testing.T) {
 // of the plain accessors, so a new decision method cannot skip the rule.
 func TestConfineCoversEveryRegistryMethod(t *testing.T) {
 	accessors := map[string]bool{"Spec": true, "BudgetUsed": true}
-	loader, err := NewLoader(".")
+	loader, err := testLoader()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,6 +24,11 @@ import (
 
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 var wantPatRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
+
+// testLoader is shared by every test in the process, so the standard library
+// is type-checked once, not once per test. A Loader is not safe for
+// concurrent use: tests that take it must not run in parallel.
+var testLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
 
 type expectation struct {
 	file string
@@ -44,7 +50,7 @@ func RunTest(t *testing.T, dir string, a *Analyzer) {
 // of want patterns compared, so a caller can tell a rule that matched nothing.
 func RunRuleTest(t *testing.T, dir string, a *Analyzer, rule string) int {
 	t.Helper()
-	loader, err := NewLoader(dir)
+	loader, err := testLoader()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,8 +144,8 @@ type Spec struct {
 	// uses it to seed the partition count. 0 or 1 means exact estimates.
 	EstErrorFactor float64
 
-	// ForceBuckets overrides the optimizer's bucket count for Grace and
-	// Hybrid (before the bucket analyzer runs).
+	// ForceBuckets overrides the Grace and Hybrid bucket count (before the
+	// bucket analyzer runs) and hybrid-dyn's partition count (see Buckets).
 	ForceBuckets int
 	// AllowOverflow makes Hybrid take the paper's "optimistic" choice at
 	// non-integral memory ratios: run with floor(1/ratio) buckets and let
@@ -445,46 +445,89 @@ func filterBits(m *cost.Model, nJoinSites int) int {
 	return bitfilter.PerSiteBits(m.P.PacketBytes, m.P.FilterOverheadBitsPerSite, nJoinSites)
 }
 
-// optimizerBuckets computes the bucket count for Grace and Hybrid: the
-// smallest count such that each bucket of the inner relation fits in the
-// aggregate join memory, corrected by the Appendix-A bucket analyzer.
-func (rc *runCtx) optimizerBuckets(hybrid bool) int {
-	n := rc.spec.ForceBuckets
+// Buckets is the bucket count a run of spec on c fixes before it reads a
+// tuple and reports in Report.Buckets; plans report it too, so a plan's
+// count is the one that runs. It is 0 for sort-merge, Simple and a spec
+// without memory. Grace and Hybrid take the fewest buckets that each fit
+// the join memory, corrected by the Appendix-A analyzer; hybrid-dyn takes
+// about twice the memory need per join site, 4 to 16 partitions per site,
+// so a wrong estimate only coarsens it. Sizes are the optimizer's belief
+// (InnerSizeHint corrupted by EstErrorFactor), so static and dynamic
+// Hybrid mis-plan from the same wrong number.
+func Buckets(c *gamma.Cluster, spec Spec) int {
+	mem, err := spec.memBytes()
+	if err != nil {
+		return 0
+	}
+	innerBytes := spec.R.Bytes()
+	if spec.InnerSizeHint > 0 {
+		innerBytes = spec.InnerSizeHint
+	}
+	est := float64(innerBytes)
+	if f := spec.EstErrorFactor; f > 0 && f != 1 {
+		est *= f
+	}
+	need := est / float64(mem)
+	nd, nj := len(c.DiskSites()), len(spec.joinSites(c))
+	switch spec.Alg {
+	case Grace:
+		nb := spec.staticBuckets(false, need, nd, nj)
+		if spec.BucketTuning {
+			// Bucket tuning [KITS83]: form tuneFactor times the buckets
+			// memory needs, then group them to memory size as measured.
+			nb *= tuneFactor
+			if !spec.SkipAnalyzer {
+				nb = split.AnalyzeBuckets(false, nd, nj, nb)
+			}
+		}
+		return nb
+	case Hybrid:
+		return spec.staticBuckets(true, need, nd, nj)
+	case HybridDyn:
+		// The partition index encodes the owning join site, so the count
+		// is a multiple of the site count (ForceBuckets rounds up to one).
+		per := min(max(int(math.Ceil(2*need)), 4), 16)
+		if spec.ForceBuckets > 0 {
+			per = (spec.ForceBuckets + nj - 1) / nj
+		}
+		return per * nj
+	default:
+		return 0
+	}
+}
+
+// staticBuckets is the Grace/Hybrid count for a memory need of need times
+// the aggregate join memory on nd disk and nj join sites.
+func (s *Spec) staticBuckets(hybrid bool, need float64, nd, nj int) int {
+	n := s.ForceBuckets
 	if n <= 0 {
 		// The epsilon keeps ratios like 1/3 — whose memory budget is
 		// truncated to integer bytes, leaving "need" a hair above the
 		// intended integer — at their intended bucket count; the
 		// sub-0.1% shortfall is covered by the hash tables' one-tuple
 		// capacity slack.
-		innerBytes := rc.spec.R.Bytes()
-		if rc.spec.InnerSizeHint > 0 {
-			innerBytes = rc.spec.InnerSizeHint
-		}
-		need := rc.estimatedInner(innerBytes) / float64(rc.memTotal)
 		n = int(math.Ceil(need - 1e-3))
-		if hybrid && rc.spec.AllowOverflow {
+		if hybrid && s.AllowOverflow {
 			// Optimistic: one bucket fewer, absorbed by overflow.
 			n = int(need)
 		}
-		if n < 1 {
-			n = 1
-		}
+		n = max(n, 1)
 	}
-	if !rc.spec.SkipAnalyzer {
-		n = split.AnalyzeBuckets(hybrid, len(rc.diskSites), len(rc.joinSites), n)
+	if !s.SkipAnalyzer {
+		n = split.AnalyzeBuckets(hybrid, nd, nj, n)
 	}
 	return n
 }
 
-// estimatedInner is the optimizer's belief about the inner size in bytes:
-// the catalog value corrupted by the spec's mis-estimation factor. Every
-// plan-time sizing decision (bucket counts, partition counts) must go
-// through this, so static and dynamic Hybrid mis-plan from the same wrong
-// number and only their runtime behavior differs.
-func (rc *runCtx) estimatedInner(innerBytes int64) float64 {
-	est := float64(innerBytes)
-	if f := rc.spec.EstErrorFactor; f > 0 && f != 1 {
-		est *= f
+// joinSites resolves the processors a run of s on c joins on: the spec's
+// list, else the cluster default. Sort-merge cannot use diskless processors
+// (Section 3.1): it joins on the listed disk sites, or on all if none is.
+func (s *Spec) joinSites(c *gamma.Cluster) []int {
+	if s.Alg == SortMerge {
+		return intersectSites(c.DiskSites(), s.JoinSites)
 	}
-	return est
+	if len(s.JoinSites) == 0 {
+		return c.JoinSites()
+	}
+	return s.JoinSites
 }

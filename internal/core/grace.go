@@ -22,17 +22,7 @@ const tuneFactor = 3
 // split table — and the buckets are then joined consecutively through the
 // joining split table.
 func (rc *runCtx) runGrace() error {
-	nb := rc.optimizerBuckets(false)
-	if rc.spec.BucketTuning {
-		// Bucket tuning [KITS83]: form several times more buckets than
-		// memory strictly requires, then combine them into memory-sized
-		// join groups by their measured sizes.
-		nb = rc.optimizerBuckets(false) * tuneFactor
-		if !rc.spec.SkipAnalyzer {
-			nb = split.AnalyzeBuckets(false, len(rc.diskSites), len(rc.joinSites), nb)
-		}
-	}
-	rc.buckets = nb
+	nb := rc.buckets
 	pt, err := split.NewGrace(nb, rc.diskSites)
 	if err != nil {
 		return err

@@ -16,8 +16,7 @@ import (
 // the Simple-hash overflow mechanism resolves it (Figure 7's "optimistic"
 // strategy).
 func (rc *runCtx) runHybrid() error {
-	nb := rc.optimizerBuckets(true)
-	rc.buckets = nb
+	nb := rc.buckets
 
 	// The two partitioning phases are ONE redo-able unit: bucket 1 lives
 	// only in the join sites' memories between them, so a crash before the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"gammajoin/internal/cost"
@@ -101,8 +100,7 @@ func (st *dynSite) residentBytes() int64 {
 // partitions at the build/probe barrier. Partitions still spilled when the
 // probe ends are joined from disk exactly like Grace buckets.
 func (rc *runCtx) runHybridDyn() error {
-	np := rc.dynPartitions()
-	rc.buckets = np
+	np := rc.buckets
 
 	// Build + resurrect + probe are ONE redo-able unit: the resident
 	// partitions live only in the join sites' memories between the phases,
@@ -195,35 +193,6 @@ func (rc *runCtx) dynJoinGroups(parts []int, rFiles []*wiss.File, np int) [][]in
 		sort.Ints(groups[g])
 	}
 	return groups
-}
-
-// dynPartitions picks the partition count from the (possibly mis-estimated)
-// inner size: about twice the estimated memory need per join site, so the
-// resident set has enough granularity to track the budget, floored at 4 and
-// capped at 16 partitions per site. Unlike static Hybrid's bucket count, a
-// wrong estimate here only coarsens granularity — it never locks in a wrong
-// resident fraction.
-func (rc *runCtx) dynPartitions() int {
-	nj := len(rc.joinSites)
-	if rc.spec.ForceBuckets > 0 {
-		// Round up to a per-site granularity: the partition index encodes
-		// the owning join site, so np must be a multiple of the site count.
-		per := (rc.spec.ForceBuckets + nj - 1) / nj
-		return per * nj
-	}
-	innerBytes := rc.spec.R.Bytes()
-	if rc.spec.InnerSizeHint > 0 {
-		innerBytes = rc.spec.InnerSizeHint
-	}
-	need := rc.estimatedInner(innerBytes) / float64(rc.memTotal)
-	per := int(math.Ceil(2 * need))
-	if per < 4 {
-		per = 4
-	}
-	if per > 16 {
-		per = 16
-	}
-	return per * nj
 }
 
 // makePartitionFiles creates one temporary file per dynamic-Hybrid

@@ -144,18 +144,7 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	if err != nil {
 		return nil, err
 	}
-	js := spec.JoinSites
-	if len(js) == 0 {
-		js = c.JoinSites()
-	}
-	if spec.Alg == SortMerge {
-		// Our sort-merge cannot use diskless processors (Section 3.1):
-		// joins always run on the sites holding the sorted fragments. An
-		// explicit JoinSites list (the recovery path excluding a dead
-		// site) restricts the disk sites; a list naming only diskless
-		// sites falls back to all disk sites, as before.
-		js = intersectSites(c.DiskSites(), spec.JoinSites)
-	}
+	js := spec.joinSites(c)
 	for _, s := range js {
 		if s < 0 || s >= len(c.Sites) {
 			return nil, fmt.Errorf("core: join site %d out of range", s)
@@ -173,6 +162,7 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 		diskSites:   c.DiskSites(),
 		memTotal:    mem,
 		memPerSite:  mem / int64(len(js)),
+		buckets:     Buckets(c, *spec),
 		netStart:    c.Net.Counters(),
 		diskStart:   c.DiskCounters(),
 		storeCount:  make(map[int]*int64),

@@ -221,38 +221,44 @@ func (s *Session) create(toks []string) error {
 	return nil
 }
 
+// joinHead parses the "<inner> <outer> on <attr> [and <outer-attr>]" head
+// that join and plan share into a query with no memory set, and returns the
+// index of the first token after it.
+func (s *Session) joinHead(toks []string) (q optimizer.Join, i int, err error) {
+	var ok bool
+	if q.Inner.Rel, ok = s.rels[toks[0]]; !ok {
+		return q, 0, fmt.Errorf("no relation %q", toks[0])
+	}
+	if q.Outer.Rel, ok = s.rels[toks[1]]; !ok {
+		return q, 0, fmt.Errorf("no relation %q", toks[1])
+	}
+	if !strings.EqualFold(toks[2], "on") {
+		return q, 0, fmt.Errorf("expected ON after relation names")
+	}
+	if q.InnerAttr, err = tuple.AttrIndex(toks[3]); err != nil {
+		return q, 0, err
+	}
+	q.OuterAttr, i = q.InnerAttr, 4
+	if i+1 < len(toks) && strings.EqualFold(toks[i], "and") {
+		q.OuterAttr, err = tuple.AttrIndex(toks[i+1])
+		i += 2
+	}
+	return q, i, err
+}
+
 // join: <inner> <outer> on <attr> [and <outer-attr>] using <alg> mem <ratio>
 // [filter] [buckets <n>] [overflow] [nostore]
 func (s *Session) join(toks []string) error {
 	if len(toks) < 7 {
 		return fmt.Errorf("usage: join <inner> <outer> on <attr> using <alg> mem <ratio> [filter]")
 	}
-	inner, ok := s.rels[toks[0]]
-	if !ok {
-		return fmt.Errorf("no relation %q", toks[0])
-	}
-	outer, ok := s.rels[toks[1]]
-	if !ok {
-		return fmt.Errorf("no relation %q", toks[1])
-	}
-	if !strings.EqualFold(toks[2], "on") {
-		return fmt.Errorf("expected ON after relation names")
-	}
-	rAttr, err := tuple.AttrIndex(toks[3])
+	q, i, err := s.joinHead(toks)
 	if err != nil {
 		return err
 	}
-	sAttr := rAttr
-	i := 4
-	if i+1 < len(toks) && strings.EqualFold(toks[i], "and") {
-		if sAttr, err = tuple.AttrIndex(toks[i+1]); err != nil {
-			return err
-		}
-		i += 2
-	}
 	spec := core.Spec{
-		R: inner, S: outer,
-		RAttr: rAttr, SAttr: sAttr,
+		R: q.Inner.Rel, S: q.Outer.Rel,
+		RAttr: q.InnerAttr, SAttr: q.OuterAttr,
 		StoreResult: true,
 	}
 	for i < len(toks) {
@@ -437,10 +443,7 @@ func (s *Session) agg(toks []string) error {
 	}
 	fmt.Fprintf(s.out, "%d group(s) in %.2f simulated seconds\n",
 		rep.Rows, rep.Response.Seconds())
-	limit := len(groups)
-	if limit > 20 {
-		limit = 20
-	}
+	limit := min(len(groups), 20)
 	for _, g := range groups[:limit] {
 		if group < 0 {
 			fmt.Fprintf(s.out, "  %s(%s) = %v\n", fn, tuple.IntAttrNames[attr], g.Value)
@@ -459,41 +462,23 @@ func (s *Session) plan(toks []string) error {
 	if len(toks) < 6 {
 		return fmt.Errorf("usage: plan <inner> <outer> on <attr> mem <ratio>")
 	}
-	inner, ok := s.rels[toks[0]]
-	if !ok {
-		return fmt.Errorf("no relation %q", toks[0])
-	}
-	outer, ok := s.rels[toks[1]]
-	if !ok {
-		return fmt.Errorf("no relation %q", toks[1])
-	}
-	if !strings.EqualFold(toks[2], "on") {
-		return fmt.Errorf("expected ON")
-	}
-	rAttr, err := tuple.AttrIndex(toks[3])
+	q, i, err := s.joinHead(toks)
 	if err != nil {
 		return err
-	}
-	sAttr := rAttr
-	i := 4
-	if i+1 < len(toks) && strings.EqualFold(toks[i], "and") {
-		if sAttr, err = tuple.AttrIndex(toks[i+1]); err != nil {
-			return err
-		}
-		i += 2
 	}
 	if i+1 >= len(toks) || !strings.EqualFold(toks[i], "mem") {
 		return fmt.Errorf("expected MEM <ratio>")
 	}
-	ratio, err := strconv.ParseFloat(toks[i+1], 64)
-	if err != nil || ratio <= 0 {
+	if q.MemRatio, err = strconv.ParseFloat(toks[i+1], 64); err != nil || q.MemRatio <= 0 {
 		return fmt.Errorf("bad memory ratio %q", toks[i+1])
 	}
-	memBytes := int64(ratio * float64(inner.Bytes()))
-	pl := optimizer.PlanJoin(s.c, inner, outer, rAttr, sAttr, memBytes)
+	pl, err := optimizer.Prepare(s.c, q)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(s.out, "optimizer: %v join on sites %v (skew %.2f, HPJA %v, buckets %d, filters %v)\n",
 		pl.Alg, pl.JoinSites, pl.Stats.InnerSkew, pl.Stats.HPJA, pl.Buckets, pl.BitFilter)
-	rep, err := core.Run(s.c, pl.Spec(inner, outer, rAttr, sAttr))
+	rep, err := core.Run(s.c, pl.Spec)
 	if err != nil {
 		return err
 	}

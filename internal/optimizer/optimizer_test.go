@@ -24,9 +24,6 @@ func TestChoose(t *testing.T) {
 			t.Errorf("Choose(%+v) = %v, want %v", c.s, got, c.want)
 		}
 	}
-	if !UseBitFilter(Stats{}) {
-		t.Error("bit filters should always be on")
-	}
 }
 
 func TestChooseJoinSites(t *testing.T) {
@@ -53,15 +50,22 @@ func TestChooseJoinSites(t *testing.T) {
 	}
 }
 
+// TestBuckets checks the bucket rule the planner reports and the run uses
+// (core.Buckets) on explicit inner sizes.
 func TestBuckets(t *testing.T) {
-	if got := Buckets(Stats{InnerBytes: 1000, MemBytes: 250}, 8, 8, true); got != 4 {
+	local := gamma.NewLocal(8, nil)
+	rel, _ := gamma.Load(local, "R", wisconsin.Generate(100, 1), gamma.HashPart, tuple.Unique1)
+	buckets := func(c *gamma.Cluster, alg core.Algorithm, innerBytes, memBytes int64) int {
+		return core.Buckets(c, core.Spec{Alg: alg, R: rel, S: rel, InnerSizeHint: innerBytes, MemBytes: memBytes})
+	}
+	if got := buckets(local, core.Hybrid, 1000, 250); got != 4 {
 		t.Fatalf("Buckets = %d, want 4", got)
 	}
 	// The pathological remote shape bumps the count (Appendix A).
-	if got := Buckets(Stats{InnerBytes: 300, MemBytes: 100}, 2, 4, true); got != 4 {
+	if got := buckets(gamma.NewRemote(2, 4, nil), core.Hybrid, 300, 100); got != 4 {
 		t.Fatalf("pathological Buckets = %d, want 4", got)
 	}
-	if got := Buckets(Stats{InnerBytes: 10, MemBytes: 100}, 8, 8, false); got != 1 {
+	if got := buckets(local, core.Grace, 10, 100); got != 1 {
 		t.Fatalf("oversized memory Buckets = %d, want 1", got)
 	}
 }
@@ -90,7 +94,11 @@ func TestPlanJoinEndToEnd(t *testing.T) {
 	s, _ := gamma.Load(c, "A", outer, gamma.HashPart, tuple.Unique1)
 	r, _ := gamma.Load(c, "B", inner, gamma.HashPart, tuple.Unique1)
 
-	plan := PlanJoin(c, r, s, tuple.Unique1, tuple.Unique1, r.Bytes()/2)
+	plan, err := Prepare(c, Join{Inner: Scan{Rel: r}, Outer: Scan{Rel: s},
+		InnerAttr: tuple.Unique1, OuterAttr: tuple.Unique1, MemBytes: r.Bytes() / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if plan.Alg != core.Hybrid {
 		t.Fatalf("plan chose %v", plan.Alg)
 	}
@@ -103,7 +111,10 @@ func TestPlanJoinEndToEnd(t *testing.T) {
 	if plan.Buckets != 2 {
 		t.Fatalf("plan buckets = %d, want 2", plan.Buckets)
 	}
-	rep, err := core.Run(c, plan.Spec(r, s, tuple.Unique1, tuple.Unique1))
+	if !plan.BitFilter || !plan.Spec.BitFilter {
+		t.Fatal("bit filters should always be on")
+	}
+	rep, err := core.Run(c, plan.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +136,11 @@ func TestPlanJoinSkewPicksSortMerge(t *testing.T) {
 	s, _ := gamma.Load(c, "A", outer, gamma.RangeUniform, tuple.Unique1)
 	r, _ := gamma.Load(c, "B", inner, gamma.RangeUniform, tuple.Normal)
 
-	plan := PlanJoin(c, r, s, tuple.Normal, tuple.Unique1, r.Bytes()/6)
+	plan, err := Prepare(c, Join{Inner: Scan{Rel: r}, Outer: Scan{Rel: s},
+		InnerAttr: tuple.Normal, OuterAttr: tuple.Unique1, MemBytes: r.Bytes() / 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if plan.Stats.InnerSkew <= 1.0 {
 		t.Fatalf("skew stat = %v", plan.Stats.InnerSkew)
 	}
@@ -138,7 +153,7 @@ func TestPlanJoinSkewPicksSortMerge(t *testing.T) {
 			t.Fatalf("sort-merge planned on diskless site %d", js)
 		}
 	}
-	rep, err := core.Run(c, plan.Spec(r, s, tuple.Normal, tuple.Unique1))
+	rep, err := core.Run(c, plan.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +168,11 @@ func TestPlanJoinNonHPJAOffloads(t *testing.T) {
 	inner := wisconsin.Bprime(outer, 200)
 	s, _ := gamma.Load(c, "A", outer, gamma.HashPart, tuple.Unique2)
 	r, _ := gamma.Load(c, "B", inner, gamma.HashPart, tuple.Unique2)
-	plan := PlanJoin(c, r, s, tuple.Unique1, tuple.Unique1, r.Bytes())
+	plan, err := Prepare(c, Join{Inner: Scan{Rel: r}, Outer: Scan{Rel: s},
+		InnerAttr: tuple.Unique1, OuterAttr: tuple.Unique1, MemBytes: r.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if plan.Stats.HPJA {
 		t.Fatal("unique2-partitioned relations misdetected as HPJA")
 	}

@@ -1,4 +1,4 @@
-package query
+package optimizer
 
 import (
 	"strings"
@@ -27,9 +27,18 @@ func fixture(t *testing.T) (*gamma.Cluster, *gamma.Relation, *gamma.Relation) {
 	return c, r, s
 }
 
+// run prepares q and executes the plan's Spec.
+func run(c *gamma.Cluster, q Join) (*core.Report, error) {
+	p, err := Prepare(c, q)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(c, p.Spec)
+}
+
 func TestJoinABprimeStyle(t *testing.T) {
 	c, r, s := fixture(t)
-	rep, err := Run(c, Join{
+	rep, err := run(c, Join{
 		Inner:            Scan{Rel: r, Pred: pred.Cmp{Attr: tuple.Unique1, Op: pred.LT, Val: 400}},
 		Outer:            Scan{Rel: s},
 		InnerAttr:        tuple.Unique1,
@@ -52,7 +61,7 @@ func TestJoinABprimeStyle(t *testing.T) {
 
 func TestJoinCselAselBStyle(t *testing.T) {
 	c, r, s := fixture(t)
-	rep, err := Run(c, Join{
+	rep, err := run(c, Join{
 		Inner:            Scan{Rel: r, Pred: pred.Range(tuple.Unique1, 0, 1000)},
 		Outer:            Scan{Rel: s, Pred: pred.Range(tuple.Unique1, 500, 1500)},
 		InnerAttr:        tuple.Unique1,
@@ -79,10 +88,10 @@ func TestForceAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Opt.Alg != core.SortMerge {
-		t.Fatalf("force ignored: %v", p.Opt.Alg)
+	if p.Alg != core.SortMerge {
+		t.Fatalf("force ignored: %v", p.Alg)
 	}
-	rep, err := p.Execute(c)
+	rep, err := core.Run(c, p.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,17 +109,17 @@ type JoinPlan = optimizer.Plan
 // conclusions) how to execute inner ⋈ outer with memBytes of aggregate join
 // memory: Hybrid for uniform data, sort-merge when the inner is skewed and
 // memory is limited, diskless placement only for non-HPJA joins with
-// sufficient memory, and bit filters always.
+// sufficient memory, and bit filters always. It is PrepareQuery with
+// MemoryBytes set.
 func (m *Machine) PlanJoin(inner, outer *Relation, innerAttr, outerAttr string, memBytes int64) (JoinPlan, error) {
-	ri, err := tuple.AttrIndex(innerAttr)
+	if memBytes <= 0 {
+		return JoinPlan{}, fmt.Errorf("gammajoin: join memory must be positive, got %d bytes", memBytes)
+	}
+	qp, err := m.PrepareQuery(QuerySpec{Inner: inner, Outer: outer, On: innerAttr, OuterOn: outerAttr, MemoryBytes: memBytes})
 	if err != nil {
 		return JoinPlan{}, err
 	}
-	si, err := tuple.AttrIndex(outerAttr)
-	if err != nil {
-		return JoinPlan{}, err
-	}
-	return optimizer.PlanJoin(m.c, inner, outer, ri, si, memBytes), nil
+	return qp.p, nil
 }
 
 // AutoJoin plans and executes a join in one call.
@@ -128,9 +128,7 @@ func (m *Machine) AutoJoin(inner, outer *Relation, innerAttr, outerAttr string, 
 	if err != nil {
 		return plan, nil, err
 	}
-	ri, _ := tuple.AttrIndex(innerAttr)
-	si, _ := tuple.AttrIndex(outerAttr)
-	rep, err := core.Run(m.c, plan.Spec(inner, outer, ri, si))
+	rep, err := core.Run(m.c, plan.Spec)
 	return plan, rep, err
 }
 

@@ -1,6 +1,9 @@
 package gammajoin
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func opsMachine(t *testing.T) (*Machine, *Relation) {
 	t.Helper()
@@ -133,6 +136,14 @@ func TestAutoJoin(t *testing.T) {
 	}
 	if _, err := m.PlanJoin(b, a, "unique1", "bogus", 1); err == nil {
 		t.Fatal("bad outer attribute accepted")
+	}
+	for _, mem := range []int64{0, -5} {
+		if _, err := m.PlanJoin(b, a, "unique1", "unique1", mem); err == nil || !strings.HasPrefix(err.Error(), "gammajoin:") {
+			t.Errorf("PlanJoin with %d bytes: err = %v, want a gammajoin: error", mem, err)
+		}
+		if _, _, err := m.AutoJoin(b, a, "unique1", "unique1", mem); err == nil || !strings.HasPrefix(err.Error(), "gammajoin:") {
+			t.Errorf("AutoJoin with %d bytes: err = %v, want a gammajoin: error", mem, err)
+		}
 	}
 }
 

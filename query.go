@@ -1,7 +1,8 @@
 package gammajoin
 
 import (
-	"gammajoin/internal/query"
+	"gammajoin/internal/core"
+	"gammajoin/internal/optimizer"
 	"gammajoin/internal/tuple"
 )
 
@@ -31,7 +32,7 @@ type QuerySpec struct {
 // QueryPlan is a prepared, explainable, executable query.
 type QueryPlan struct {
 	m *Machine
-	p *query.Plan
+	p optimizer.Plan
 }
 
 // PrepareQuery optimizes a query without running it.
@@ -46,9 +47,9 @@ func (m *Machine) PrepareQuery(q QuerySpec) (*QueryPlan, error) {
 			return nil, err
 		}
 	}
-	p, err := query.Prepare(m.c, query.Join{
-		Inner:            query.Scan{Rel: q.Inner, Pred: q.InnerWhere},
-		Outer:            query.Scan{Rel: q.Outer, Pred: q.OuterWhere},
+	p, err := optimizer.Prepare(m.c, optimizer.Join{
+		Inner:            optimizer.Scan{Rel: q.Inner, Pred: q.InnerWhere},
+		Outer:            optimizer.Scan{Rel: q.Outer, Pred: q.OuterWhere},
 		InnerAttr:        innerAttr,
 		OuterAttr:        outerAttr,
 		MemBytes:         q.MemoryBytes,
@@ -66,13 +67,13 @@ func (m *Machine) PrepareQuery(q QuerySpec) (*QueryPlan, error) {
 func (qp *QueryPlan) Explain() string { return qp.p.Explain() }
 
 // Algorithm returns the chosen join algorithm.
-func (qp *QueryPlan) Algorithm() Algorithm { return qp.p.Opt.Alg }
+func (qp *QueryPlan) Algorithm() Algorithm { return qp.p.Alg }
 
 // Remote reports whether the join was placed on diskless processors.
 func (qp *QueryPlan) Remote() bool { return qp.p.Remote }
 
 // Execute runs the plan.
-func (qp *QueryPlan) Execute() (*Report, error) { return qp.p.Execute(qp.m.c) }
+func (qp *QueryPlan) Execute() (*Report, error) { return core.Run(qp.m.c, qp.p.Spec) }
 
 // Query prepares and executes in one call.
 func (m *Machine) Query(q QuerySpec) (*Report, error) {

@@ -1,8 +1,11 @@
 package gammajoin
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"gammajoin/internal/core"
 )
 
 func TestQueryAPI(t *testing.T) {
@@ -59,5 +62,55 @@ func TestQueryAPI(t *testing.T) {
 	}
 	if _, err := m.PrepareQuery(QuerySpec{Inner: b, Outer: a, On: "unique1", OuterOn: "zzz"}); err == nil {
 		t.Fatal("bad outer attribute accepted")
+	}
+}
+
+// TestPlanBucketsMatchRun checks that every planned join reports the bucket
+// count its run uses, at each of the paper's memory ratios: AutoJoin's plan
+// and EXPLAIN for the optimizer's own choice, and EXPLAIN for each forced
+// bucketed algorithm.
+func TestPlanBucketsMatchRun(t *testing.T) {
+	m := NewMachine(WithDisks(8))
+	outer := Wisconsin(10000, 41)
+	a, _ := m.Load("A", outer, ByHash, "unique1")
+	b, _ := m.Load("B", Bprime(outer, 1000), ByHash, "unique1")
+	explained := func(t *testing.T, qp *QueryPlan, buckets int) {
+		t.Helper()
+		want := fmt.Sprintf(", %d buckets", buckets)
+		if got := qp.Explain(); !strings.Contains(got, want) {
+			t.Errorf("EXPLAIN lacks %q, the count the run used:\n%s", want, got)
+		}
+	}
+	for k := 1; k <= 8; k++ {
+		mem := int64(float64(b.Bytes()) / float64(k))
+		t.Run(fmt.Sprintf("mem=1/%d", k), func(t *testing.T) {
+			plan, rep, err := m.AutoJoin(b, a, "unique1", "unique1", mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Buckets != rep.Buckets {
+				t.Errorf("AutoJoin planned %d buckets, ran %d", plan.Buckets, rep.Buckets)
+			}
+			qp, err := m.PrepareQuery(QuerySpec{Inner: b, Outer: a, On: "unique1", MemoryBytes: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			explained(t, qp, rep.Buckets)
+			for _, alg := range []Algorithm{Grace, Hybrid, core.HybridDyn} {
+				qp, err := m.PrepareQuery(QuerySpec{Inner: b, Outer: a, On: "unique1",
+					MemoryRatio: 1 / float64(k), Force: &alg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := qp.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Alg != alg || rep.ResultCount != 1000 {
+					t.Fatalf("forced %v ran %v with %d results", alg, rep.Alg, rep.ResultCount)
+				}
+				explained(t, qp, rep.Buckets)
+			}
+		})
 	}
 }
